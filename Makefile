@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet whalevet vet-baseline build test race chaos fmt bench perfgate cover cover-gate
+.PHONY: check vet whalevet vet-baseline build test race chaos fmt bench perfgate cover cover-gate loc
 
 check: vet whalevet vet-baseline build test race chaos
 
@@ -88,3 +88,22 @@ cover-gate: cover
 	  exit 1; \
 	fi; \
 	echo "cover-gate: ok ($$total% >= floor $$floor%)"
+
+# Size and concurrency surface per package under internal/ (non-test files
+# only): source lines, sync.Mutex/RWMutex fields, //whale:lockrank tags, `go`
+# statements and time.NewTicker sites, as a markdown table. The quality-of-
+# design trend the ROADMAP asks for: CI appends it to the job summary, and
+# each PR reports its internal/dsps row in CHANGES.md.
+loc:
+	@printf '| %-32s | %6s | %7s | %9s | %3s | %7s |\n' package lines mutexes lockranks go tickers
+	@printf '|%s|%s|%s|%s|%s|%s|\n' ---------------------------------- -------: --------: ----------: ----: --------:
+	@for d in $$(find internal -type d -not -path '*/testdata*' | sort); do \
+	  f=$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go'); \
+	  [ -n "$$f" ] || continue; \
+	  printf '| %-32s | %6d | %7d | %9d | %3d | %7d |\n' $$d \
+	    $$(cat $$f | wc -l) \
+	    $$(cat $$f | grep -cE 'sync\.(RW)?Mutex') \
+	    $$(cat $$f | grep -c '//whale:lockrank') \
+	    $$(cat $$f | grep -cE '^[[:space:]]*go[[:space:]]') \
+	    $$(cat $$f | grep -c 'time\.NewTicker('); \
+	done

@@ -160,10 +160,10 @@ type Options struct {
 	SendRetryBase time.Duration
 
 	// CreditWindow is the per-link credit window in delivery units
-	// (default 256; negative disables credit flow control).
+	// (default 4096; every link is credited, negative is an error).
 	CreditWindow int
 	// LinkQueueCap bounds each flow-controlled link's send queue
-	// (default 256).
+	// (default 4096).
 	LinkQueueCap int
 	// HighWaterline / LowWaterline are the link-depth percentages driving
 	// the open→throttled→open transitions (defaults 80 / 30).

@@ -3,7 +3,6 @@ package dsps
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"whale/internal/metrics"
@@ -18,8 +17,8 @@ import (
 // queueing model, and issues Engine.Rescale through the armed-plan
 // machinery. The controller never touches the data hot path — it reads the
 // same merged per-executor counters the op.<id>.* registry series serve,
-// on its own goroutine, at Interval granularity; with Interval zero the
-// engine carries no autoscale state at all.
+// on the monitor loop (monitor.go), at Interval granularity; with Interval
+// zero the engine carries no autoscale state at all.
 
 // AutoscaleConfig parameterises the controller. The zero value disables
 // autoscaling entirely.
@@ -266,23 +265,18 @@ func (s *opScaleState) decide(op string, o opObservation, cfg AutoscaleConfig) A
 // autoscaleRingCap bounds the retained decision log (/debug/autoscale).
 const autoscaleRingCap = 128
 
-// autoscaler is the controller instance hanging off the engine.
+// autoscaler is the controller's state. The monitor loop owns all of it
+// (the counters are atomics because the obs registry samples them).
 type autoscaler struct {
 	eng *Engine
 	cfg AutoscaleConfig
 
-	// Event subscription: the controller watches the reconfiguration log
-	// for the fate of the plan it issued (committed vs aborted) to drive
-	// backoff. Subscription channels drop when full, never block Append.
-	evCh     <-chan obs.Event
-	evCancel func()
-
-	// Tick-local measurement memory (controller goroutine only).
 	states    map[string]*opScaleState
 	lastExec  map[string]int64
 	lastSumNS map[string]int64
 	lastNS    int64
 	pendingOp string // operator of the plan this controller has in flight
+	ring      []AutoscaleDecision
 
 	evals      metrics.Counter
 	scaleUps   metrics.Counter
@@ -290,13 +284,10 @@ type autoscaler struct {
 	holds      metrics.Counter
 	rejected   metrics.Counter
 	aborts     metrics.Counter
-
-	mu   sync.Mutex //whale:lockrank 17
-	ring []AutoscaleDecision
 }
 
 func newAutoscaler(e *Engine) *autoscaler {
-	a := &autoscaler{
+	return &autoscaler{
 		eng:       e,
 		cfg:       e.cfg.Autoscale,
 		states:    map[string]*opScaleState{},
@@ -304,8 +295,6 @@ func newAutoscaler(e *Engine) *autoscaler {
 		lastSumNS: map[string]int64{},
 		lastNS:    time.Now().UnixNano(),
 	}
-	a.evCh, a.evCancel = e.obs.Events.Subscribe(256)
-	return a
 }
 
 // scalableOps lists the operators the controller manages: every bolt that
@@ -321,45 +310,21 @@ func (a *autoscaler) scalableOps() []string {
 	return out
 }
 
-func (a *autoscaler) run() {
-	defer a.eng.auxWG.Done()
-	defer a.evCancel()
-	t := time.NewTicker(a.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-a.eng.stopTick:
-			return
-		case <-t.C:
-			a.tick(time.Now().UnixNano())
-		}
+// planResolved is the rescale plane telling the controller the fate of a
+// plan: an abort of the controller's own in-flight plan escalates the
+// operator's backoff, a commit clears it. Plans the controller did not
+// issue (and calls on a disabled controller) are ignored.
+func (a *autoscaler) planResolved(committed bool, nowNS int64) {
+	if a == nil || a.pendingOp == "" {
+		return
 	}
-}
-
-// drainEvents folds rescale outcomes observed since the last tick into the
-// backoff state: an abort of our in-flight plan escalates the operator's
-// backoff; a commit clears it.
-func (a *autoscaler) drainEvents(nowNS int64) {
-	for {
-		select {
-		case ev := <-a.evCh:
-			if a.pendingOp == "" {
-				continue
-			}
-			switch ev.Kind {
-			case obs.EventRescaleAborted:
-				st := a.state(a.pendingOp)
-				st.noteFailure(nowNS, a.cfg.Cooldown)
-				a.aborts.Inc()
-				a.pendingOp = ""
-			case obs.EventRescaleCommitted:
-				a.state(a.pendingOp).backoff = 0
-				a.pendingOp = ""
-			}
-		default:
-			return
-		}
+	if committed {
+		a.state(a.pendingOp).backoff = 0
+	} else {
+		a.state(a.pendingOp).noteFailure(nowNS, a.cfg.Cooldown)
+		a.aborts.Inc()
 	}
+	a.pendingOp = ""
 }
 
 func (a *autoscaler) state(op string) *opScaleState {
@@ -395,17 +360,10 @@ func (a *autoscaler) observe(op string, nowNS int64) opObservation {
 	return o
 }
 
-// tick runs one controller round: fold plan outcomes, measure every
-// scalable operator, decide, and actuate at most one rescale (the plane
-// holds one plan at a time; the next tick re-evaluates the rest).
+// tick runs one controller round: measure every scalable operator, decide,
+// and actuate at most one rescale (the plane holds one plan at a time; the
+// next tick re-evaluates the rest).
 func (a *autoscaler) tick(nowNS int64) {
-	a.drainEvents(nowNS)
-	if a.pendingOp != "" && !a.eng.ckpt.rescalePending() {
-		// The plan resolved but we missed the event (subscriber buffers drop
-		// under pressure rather than stall Append). Read it as a commit —
-		// backoff is applied only on an observed abort.
-		a.pendingOp = ""
-	}
 	bn := ""
 	if top := a.eng.BottleneckReport().Top(); top.Component != "" {
 		bn = fmt.Sprintf("%s (%s)", top.Component, top.Class)
@@ -439,7 +397,7 @@ func (a *autoscaler) tick(nowNS int64) {
 		if d.To > d.From {
 			on = a.placement(op, d.To-d.From)
 		}
-		if err := a.eng.Rescale(op, d.To, on...); err != nil {
+		if err := a.eng.mon.rescale(op, d.To, on); err != nil {
 			st.noteFailure(nowNS, a.cfg.Cooldown)
 			d.Action = AutoscaleRejected
 			d.Reason = err.Error()
@@ -508,13 +466,11 @@ func (a *autoscaler) placement(op string, n int) []int32 {
 
 // record appends d to the bounded decision ring.
 func (a *autoscaler) record(d AutoscaleDecision) {
-	a.mu.Lock()
 	if len(a.ring) == autoscaleRingCap {
 		copy(a.ring, a.ring[1:])
 		a.ring = a.ring[:autoscaleRingCap-1]
 	}
 	a.ring = append(a.ring, d)
-	a.mu.Unlock()
 }
 
 // appendEvent writes an acted-on (or rejected) decision into the
@@ -531,13 +487,6 @@ func (a *autoscaler) appendEvent(d AutoscaleDecision) {
 		Kind: kind, Lambda: d.Lambda, Te: d.Te, QueueLen: d.QueueLen,
 		Detail: fmt.Sprintf("%s: %d -> %d (rho %.2f): %s", d.Operator, d.From, d.To, d.Rho, d.Reason),
 	})
-}
-
-// decisions snapshots the ring, oldest first.
-func (a *autoscaler) decisions() []AutoscaleDecision {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]AutoscaleDecision(nil), a.ring...)
 }
 
 // registerObs publishes the autoscale.* series.
@@ -581,9 +530,7 @@ func (e *Engine) AutoscaleReport() AutoscaleReport {
 	if e.scaler == nil {
 		return AutoscaleReport{}
 	}
-	return AutoscaleReport{
-		Enabled:   true,
-		Config:    e.scaler.cfg,
-		Decisions: e.scaler.decisions(),
-	}
+	rep := AutoscaleReport{Enabled: true, Config: e.scaler.cfg}
+	e.mon.read(func() { rep.Decisions = append([]AutoscaleDecision(nil), e.scaler.ring...) })
+	return rep
 }

@@ -3,7 +3,7 @@ package dsps
 import (
 	"fmt"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"whale/internal/obs"
@@ -57,10 +57,11 @@ const (
 // taskKey is a task's key in the snapshot store.
 func taskKey(tid int32) string { return fmt.Sprintf("task-%d", tid) }
 
-// checkpointCoordinator drives the epoch state machine from worker 0's
-// side: trigger injection, ack collection, commit/abort, and post-failure
-// restore. All mutable state is guarded by mu; snapshot/restore work itself
-// runs on the executors' goroutines.
+// checkpointCoordinator is the epoch state machine: trigger injection, ack
+// collection, commit/abort, post-failure restore and the armed rescale
+// plan. Its transitions are handlers of the monitor loop (monitor.go), which
+// owns every mutable field; snapshot/restore work itself runs on the
+// executors' goroutines, which touch only store, home and applied.
 type checkpointCoordinator struct {
 	eng   *Engine
 	store snapshot.Store
@@ -69,8 +70,6 @@ type checkpointCoordinator struct {
 	tasks      []int32 // every non-acker task, ascending
 	spoutTasks []int32 // the subset hosting spouts (trigger targets)
 	spoutSet   map[int32]bool
-
-	mu sync.Mutex //whale:lockrank 12
 
 	nextEpoch int64 // next epoch number to inject (monotone, never reused)
 	epoch     int64 // in-flight snapshot epoch (0 = none)
@@ -98,7 +97,9 @@ type checkpointCoordinator struct {
 	// than the cut commits. A worker death with a plan still pending aborts
 	// it deterministically: the pre-rescale assignment stays active.
 	pendingRescale *rescalePlan
-	appliedRescale *rescalePlan
+	// applied is read by restoreTask on executor goroutines, so it points
+	// at an immutable value: a change publishes a modified copy.
+	applied atomic.Pointer[rescalePlan]
 }
 
 // rescalePlan is one requested parallelism change, carried from request
@@ -138,25 +139,8 @@ func newCheckpointCoordinator(e *Engine) *checkpointCoordinator {
 	return c
 }
 
-// run drives the coordinator at the checkpoint interval until engine stop.
-func (c *checkpointCoordinator) run() {
-	defer c.eng.auxWG.Done()
-	ticker := time.NewTicker(c.eng.cfg.CheckpointInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-c.eng.stopTick:
-			return
-		case <-ticker.C:
-			c.tick()
-		}
-	}
-}
-
 // tick advances the epoch state machine one step.
 func (c *checkpointCoordinator) tick() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch {
 	// Recovery outranks sourceGone: a bounded source having drained stops
 	// new epochs (below), but a worker death afterwards must still restore
@@ -168,7 +152,7 @@ func (c *checkpointCoordinator) tick() {
 		if !c.eng.treesQuiet() {
 			return
 		}
-		c.beginRestoreLocked()
+		c.beginRestore()
 	case c.restoring:
 		if time.Since(c.started) > c.eng.cfg.CheckpointTimeout {
 			// Re-drive the whole restore attempt: executors that already
@@ -176,7 +160,7 @@ func (c *checkpointCoordinator) tick() {
 			c.started = time.Now()
 			c.injected = map[int32]bool{}
 		}
-		c.injectLocked(c.restoreTargetsLocked(), c.restoreMarker())
+		c.inject(c.restoreTargets(), c.restoreMarker())
 	case c.sourceGone:
 		// Bounded run winding down: an epoch could never complete without
 		// its sources, so the coordinator goes quiet instead of wedging
@@ -184,17 +168,17 @@ func (c *checkpointCoordinator) tick() {
 		return
 	case c.epoch != 0:
 		if time.Since(c.started) > c.eng.cfg.CheckpointTimeout {
-			c.abortEpochLocked("epoch timed out")
+			c.abortEpoch("epoch timed out")
 			return
 		}
-		c.injectLocked(c.triggerTargetsLocked(), &tuple.Tuple{Stream: streamCkptTrigger, Epoch: c.epoch})
+		c.inject(c.triggerTargets(), &tuple.Tuple{Stream: streamCkptTrigger, Epoch: c.epoch})
 	default:
-		c.beginEpochLocked()
+		c.beginEpoch()
 	}
 }
 
-// beginEpochLocked opens the next snapshot epoch and injects triggers.
-func (c *checkpointCoordinator) beginEpochLocked() {
+// beginEpoch opens the next snapshot epoch and injects triggers.
+func (c *checkpointCoordinator) beginEpoch() {
 	c.epoch = c.nextEpoch
 	c.nextEpoch++
 	c.started = time.Now()
@@ -207,11 +191,11 @@ func (c *checkpointCoordinator) beginEpochLocked() {
 			c.expected[tid] = true
 		}
 	}
-	c.injectLocked(c.triggerTargetsLocked(), &tuple.Tuple{Stream: streamCkptTrigger, Epoch: c.epoch})
+	c.inject(c.triggerTargets(), &tuple.Tuple{Stream: streamCkptTrigger, Epoch: c.epoch})
 }
 
-// triggerTargetsLocked lists the spout tasks expected to start this epoch.
-func (c *checkpointCoordinator) triggerTargetsLocked() []int32 {
+// triggerTargets lists the spout tasks expected to start this epoch.
+func (c *checkpointCoordinator) triggerTargets() []int32 {
 	out := make([]int32, 0, len(c.spoutTasks))
 	for _, tid := range c.spoutTasks {
 		if c.expected[tid] {
@@ -221,8 +205,8 @@ func (c *checkpointCoordinator) triggerTargetsLocked() []int32 {
 	return out
 }
 
-// restoreTargetsLocked lists every task expected to ack the restore.
-func (c *checkpointCoordinator) restoreTargetsLocked() []int32 {
+// restoreTargets lists every task expected to ack the restore.
+func (c *checkpointCoordinator) restoreTargets() []int32 {
 	out := make([]int32, 0, len(c.expected))
 	for _, tid := range c.tasks {
 		if c.expected[tid] {
@@ -236,10 +220,10 @@ func (c *checkpointCoordinator) restoreMarker() *tuple.Tuple {
 	return &tuple.Tuple{Stream: streamCkptRestore, Epoch: c.fence, Values: []tuple.Value{c.restoreFrom}}
 }
 
-// injectLocked offers the marker to every listed task that has not yet
-// received one this attempt. Injection is non-blocking — a full executor
-// queue is retried on the next tick rather than wedging the coordinator.
-func (c *checkpointCoordinator) injectLocked(targets []int32, tp *tuple.Tuple) {
+// inject offers the marker to every listed task that has not yet received
+// one this attempt. Injection is non-blocking — a full executor queue is
+// retried on the next tick rather than wedging the loop.
+func (c *checkpointCoordinator) inject(targets []int32, tp *tuple.Tuple) {
 	tv := c.eng.tv()
 	for _, tid := range targets {
 		if c.injected[tid] || c.acked[tid] {
@@ -259,10 +243,10 @@ func (c *checkpointCoordinator) injectLocked(targets []int32, tp *tuple.Tuple) {
 	}
 }
 
-// abortEpochLocked discards the in-flight epoch. No abort marker is sent:
+// abortEpoch discards the in-flight epoch. No abort marker is sent:
 // executors stuck aligning the dead epoch are released by the next epoch's
 // barriers, which supersede the stale alignment.
-func (c *checkpointCoordinator) abortEpochLocked(reason string) {
+func (c *checkpointCoordinator) abortEpoch(reason string) {
 	epoch := c.epoch
 	c.epoch = 0
 	_ = c.store.Discard(epoch)
@@ -273,28 +257,16 @@ func (c *checkpointCoordinator) abortEpochLocked(reason string) {
 	})
 }
 
-// handleAck records one task's snapshot or restore acknowledgement. Called
-// from the control plane (CtrlSnapAck) or directly by local executors.
+// handleAck records one task's snapshot or restore acknowledgement.
 func (c *checkpointCoordinator) handleAck(direction byte, task int32, epoch int64) {
-	if plan := c.handleAckInner(direction, task, epoch); plan != nil {
-		c.applyRescaleMembership(plan)
-	}
-}
-
-// handleAckInner is handleAck under the coordinator lock; it returns the
-// rescale plan applied by this ack's epoch commit, if any, so the caller
-// can distribute the multicast membership change lock-free.
-func (c *checkpointCoordinator) handleAckInner(direction byte, task int32, epoch int64) *rescalePlan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	switch direction {
 	case tuple.SnapAckSnapshot:
 		if c.restoring || epoch == 0 || epoch != c.epoch || !c.expected[task] || c.acked[task] {
-			return nil
+			return
 		}
 		c.acked[task] = true
-		if !c.allAckedLocked() {
-			return nil
+		if !c.allAcked() {
+			return
 		}
 		c.epoch = 0
 		if err := c.store.Commit(epoch); err != nil {
@@ -303,7 +275,7 @@ func (c *checkpointCoordinator) handleAckInner(direction byte, task int32, epoch
 				Kind: obs.EventSnapshotAbort, Worker: c.home, Epoch: epoch,
 				Detail: fmt.Sprintf("commit failed: %v", err),
 			})
-			return nil
+			return
 		}
 		c.eng.metrics.EpochsCompleted.Inc()
 		c.eng.metrics.EpochLatency.Observe(time.Since(c.started).Nanoseconds())
@@ -314,43 +286,41 @@ func (c *checkpointCoordinator) handleAckInner(direction byte, task int32, epoch
 		// First post-rescale cut: the rescaled operator's shards now live in
 		// the store under the new task ids, so the old-layout plan is no
 		// longer needed to source a crash restore.
-		if p := c.appliedRescale; p != nil && epoch > p.epoch {
-			c.appliedRescale = nil
+		if p := c.applied.Load(); p != nil && epoch > p.epoch {
+			c.applied.Store(nil)
 		}
 		if p := c.pendingRescale; p != nil && epoch >= p.armAfter {
-			c.applyRescaleLocked(epoch)
-			return c.appliedRescale
+			c.applyRescale(epoch)
 		}
 	case tuple.SnapAckRestore:
 		if !c.restoring || epoch != c.fence || !c.expected[task] || c.acked[task] {
-			return nil
+			return
 		}
 		c.acked[task] = true
-		c.advanceRestoreLocked()
+		c.advanceRestore()
 	}
-	return nil
 }
 
-// advanceRestoreLocked moves the restore forward when the current wave has
-// fully acked. Bolts first, sources second: a source that rewound before
-// every downstream task installed its fence would re-emit records into
+// advanceRestore moves the restore forward when the current wave has fully
+// acked. Bolts first, sources second: a source that rewound before every
+// downstream task installed its fence would re-emit records into
 // pre-rollback state, and the rollback would silently eat them.
-func (c *checkpointCoordinator) advanceRestoreLocked() {
-	if !c.restoring || !c.allAckedLocked() {
+func (c *checkpointCoordinator) advanceRestore() {
+	if !c.restoring || !c.allAcked() {
 		return
 	}
-	if c.restoreWave == 1 && c.startRestoreWaveLocked(2) {
+	if c.restoreWave == 1 && c.startRestoreWave(2) {
 		return
 	}
-	c.finishRestoreLocked()
+	c.finishRestore()
 }
 
-// startRestoreWaveLocked opens one restore wave (1 = non-spout tasks, 2 =
-// spout tasks) and injects its markers. Returns false when the wave has no
-// live member so the caller can skip ahead. Exited spout tasks are excluded
-// — their executor loop is gone, so a marker queued to them would never be
+// startRestoreWave opens one restore wave (1 = non-spout tasks, 2 = spout
+// tasks) and injects its markers. Returns false when the wave has no live
+// member so the caller can skip ahead. Exited spout tasks are excluded —
+// their executor loop is gone, so a marker queued to them would never be
 // consumed or acked and the restore would wedge against its timeout.
-func (c *checkpointCoordinator) startRestoreWaveLocked(wave int) bool {
+func (c *checkpointCoordinator) startRestoreWave(wave int) bool {
 	c.restoreWave = wave
 	c.started = time.Now()
 	c.expected = map[int32]bool{}
@@ -368,12 +338,12 @@ func (c *checkpointCoordinator) startRestoreWaveLocked(wave int) bool {
 	if len(c.expected) == 0 {
 		return false
 	}
-	c.injectLocked(c.restoreTargetsLocked(), c.restoreMarker())
+	c.inject(c.restoreTargets(), c.restoreMarker())
 	return true
 }
 
-// finishRestoreLocked closes the restore phase after the last wave acked.
-func (c *checkpointCoordinator) finishRestoreLocked() {
+// finishRestore closes the restore phase after the last wave acked.
+func (c *checkpointCoordinator) finishRestore() {
 	c.restoring = false
 	c.restoreWave = 0
 	c.eng.metrics.Restores.Inc()
@@ -384,18 +354,21 @@ func (c *checkpointCoordinator) finishRestoreLocked() {
 	// The applied plan is NOT discharged here: the latest committed cut still
 	// holds the rescaled operator's shards under the pre-rescale task ids, so
 	// a crash before the first post-rescale epoch commits must restore through
-	// the plan again. handleAckInner drops it at that commit. The committed
-	// flag keeps a window-crash re-restore from re-emitting the event.
-	if p := c.appliedRescale; p != nil && !p.committed {
-		p.committed = true
+	// the plan again. handleAck drops it at that commit. The committed flag
+	// keeps a window-crash re-restore from re-emitting the event.
+	if p := c.applied.Load(); p != nil && !p.committed {
+		done := *p
+		done.committed = true
+		c.applied.Store(&done)
 		c.eng.obs.Events.Append(obs.Event{
 			Kind: obs.EventRescaleCommitted, Worker: c.home, Epoch: p.epoch,
 			Detail: fmt.Sprintf("%s -> %d tasks, cut at epoch %d", p.op, p.newPar, p.epoch),
 		})
+		c.eng.scaler.planResolved(true, time.Now().UnixNano())
 	}
 }
 
-func (c *checkpointCoordinator) allAckedLocked() bool {
+func (c *checkpointCoordinator) allAcked() bool {
 	for tid := range c.expected {
 		if !c.acked[tid] {
 			return false
@@ -407,20 +380,17 @@ func (c *checkpointCoordinator) allAckedLocked() bool {
 // noteSpoutExit records that a source's executor loop ended (finite source
 // exhausted, or StopSpouts): the coordinator stops opening epochs — they
 // could never complete — and discards whatever is queued to the dead
-// executor so a bounded run still drains to quiescence. Runs on the exiting
-// spout's goroutine (the queue's only consumer); holding mu excludes a
-// concurrent marker injection, so nothing lands in the queue afterwards.
+// executor so a bounded run still drains to quiescence. Markers are injected
+// by this loop only, so nothing lands in the queue afterwards.
 func (c *checkpointCoordinator) noteSpoutExit(ex *executor) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.sourceGone = true
 	c.exited[ex.ctx.TaskID] = true
 	// An in-flight restore can no longer wait on this task; drop it from
 	// the expected set and complete the wave if it was the last holdout.
 	delete(c.expected, ex.ctx.TaskID)
-	c.advanceRestoreLocked()
+	c.advanceRestore()
 	if c.epoch != 0 {
-		c.abortEpochLocked(fmt.Sprintf("source task %d exited mid-epoch", ex.ctx.TaskID))
+		c.abortEpoch(fmt.Sprintf("source task %d exited mid-epoch", ex.ctx.TaskID))
 	}
 	for {
 		select {
@@ -432,13 +402,11 @@ func (c *checkpointCoordinator) noteSpoutExit(ex *executor) {
 }
 
 // onWorkerDead aborts the in-flight epoch (its barriers can no longer fully
-// propagate) and schedules a restore once the tree repairs settle. Runs on
-// the failure detector's goroutine, after the managers start repairing.
+// propagate) and schedules a restore once the tree repairs settle. Runs
+// after the managers start repairing.
 func (c *checkpointCoordinator) onWorkerDead(dead int32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.epoch != 0 {
-		c.abortEpochLocked(fmt.Sprintf("worker %d confirmed dead mid-epoch", dead))
+		c.abortEpoch(fmt.Sprintf("worker %d confirmed dead mid-epoch", dead))
 	}
 	// A plan that has not applied yet can never apply now: the aligned
 	// epoch's barriers died with the worker. Abort it deterministically —
@@ -451,6 +419,7 @@ func (c *checkpointCoordinator) onWorkerDead(dead int32) {
 			Kind: obs.EventRescaleAborted, Worker: c.home,
 			Detail: fmt.Sprintf("%s -> %d: worker %d died before the aligned epoch committed", p.op, p.newPar, dead),
 		})
+		c.eng.scaler.planResolved(false, time.Now().UnixNano())
 	}
 	c.restoring = false
 	c.restoreWave = 0
@@ -462,13 +431,7 @@ func (c *checkpointCoordinator) onWorkerDead(dead int32) {
 // (or abort) under the old placement, so the cut is always a full aligned
 // snapshot of the pre-rescale topology.
 func (c *checkpointCoordinator) requestRescale(op string, newPar int, next *Assignment) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// An applied plan whose restore already finished (committed) only lingers
-	// to source a crash-window restore from the old task layout; it does not
-	// block the next request — that plan arms at a strictly newer epoch, whose
-	// commit discharges the lingering one before applying the new one.
-	if c.pendingRescale != nil || (c.appliedRescale != nil && !c.appliedRescale.committed) {
+	if c.rescalePending() {
 		return fmt.Errorf("dsps: a rescale is already in progress")
 	}
 	if c.restoring || c.recoverPending {
@@ -494,39 +457,30 @@ func (c *checkpointCoordinator) requestRescale(op string, newPar int, next *Assi
 }
 
 // rescalePending reports whether a rescale is requested or applied but not
-// yet committed (its restore still running). A committed plan lingering only
-// for crash-window restore sourcing does not count.
+// yet committed (its restore still running). An applied plan whose restore
+// already finished only lingers to source a crash-window restore from the
+// old task layout; it does not count, and does not block the next request —
+// that plan arms at a strictly newer epoch, whose commit discharges the
+// lingering one before applying the new one.
 func (c *checkpointCoordinator) rescalePending() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pendingRescale != nil || (c.appliedRescale != nil && !c.appliedRescale.committed)
+	p := c.applied.Load()
+	return c.pendingRescale != nil || (p != nil && !p.committed)
 }
 
-// planTargets reports whether a requested-but-unapplied rescale plan places
-// tasks on worker w. LeaveWorker rejects such a worker: the plan applies at
-// a later epoch commit, and a host that left in between would carry the new
-// tasks while unjoined — invisible to the failure sweep.
-func (c *checkpointCoordinator) planTargets(w int32) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := c.pendingRescale
-	return p != nil && len(p.newAssign.LocalTasks(w)) > 0
-}
-
-// applyRescaleLocked installs the armed plan at its aligned cut: new
-// executors spin up, the placement view swaps, and the coordinator's task
-// universe is rebuilt under the new assignment. Multicast membership and
-// the recovery arm move to applyRescaleMembership, which the caller runs
-// after releasing c.mu — tree distribution can block on the transfer
-// queue. State movement itself is deferred to the fenced restore the
-// membership step schedules (recoverPending): wave 1 re-derives every
-// task's routing and reinstalls state — the rescaled operator's shards
-// split or merged by slot ownership — and wave 2 rewinds sources to the
-// cut. Retired executors are left running inert: the restore never targets
-// them, rebuilt upstream routers no longer name them, and everything they
-// emit stays stamped below the fence.
-func (c *checkpointCoordinator) applyRescaleLocked(epoch int64) {
-	plan := c.pendingRescale
+// applyRescale installs the armed plan at its aligned cut: new executors
+// spin up, the placement view swaps, the coordinator's task universe is
+// rebuilt under the new assignment, and every multicast group's membership
+// follows (tree growth/prune over the §3.4 versioned switch). State movement
+// itself is deferred to the fenced restore armed at the end — mirroring the
+// failure path's repair-then-recover ordering, treesQuiet gates the restore
+// markers behind the switches just started: wave 1 re-derives every task's
+// routing and reinstalls state — the rescaled operator's shards split or
+// merged by slot ownership — and wave 2 rewinds sources to the cut. Retired
+// executors are left running inert: the restore never targets them, rebuilt
+// upstream routers no longer name them, and everything they emit stays
+// stamped below the fence.
+func (c *checkpointCoordinator) applyRescale(epoch int64) {
+	plan := *c.pendingRescale
 	c.pendingRescale = nil
 	plan.epoch = epoch
 	e := c.eng
@@ -534,24 +488,6 @@ func (c *checkpointCoordinator) applyRescaleLocked(epoch int64) {
 	old := make(map[int32]bool, len(plan.oldTasks))
 	for _, tid := range plan.oldTasks {
 		old[tid] = true
-	}
-	// Re-validate placement at the cut: pickPlacement checked the targets at
-	// request time, but the plan applies at this later epoch commit and a
-	// target may have gracefully left in between (LeaveWorker rejects named
-	// targets, this is the backstop for the remaining race). Applying onto an
-	// unjoined worker would host tasks the failure sweep never watches; abort
-	// the plan instead — the pre-rescale assignment stays active.
-	for _, tid := range na.TasksOf[plan.op] {
-		if old[tid] {
-			continue
-		}
-		if w := na.WorkerOf[tid]; !e.joinedWorker(w) || e.workerDead(w) {
-			c.eng.obs.Events.Append(obs.Event{
-				Kind: obs.EventRescaleAborted, Worker: c.home, Epoch: epoch,
-				Detail: fmt.Sprintf("%s -> %d: placement target %d no longer joined at the aligned cut", plan.op, plan.newPar, w),
-			})
-			return
-		}
 	}
 	// New executors before the view swap: the moment peers observe the new
 	// placement they route to the new tasks, whose queues must exist.
@@ -567,10 +503,8 @@ func (c *checkpointCoordinator) applyRescaleLocked(epoch int64) {
 		w.addExecutor(ex)
 		w.wg.Add(1)
 		go ex.runBolt()
-		if w.fc != nil {
-			w.wg.Add(1)
-			go ex.feed()
-		}
+		w.wg.Add(1)
+		go ex.feed()
 	}
 	e.view.Store(&topoView{assign: na, remoteBy: buildRemote(e.topo, na, e.cfg.MaxWorkers)})
 	c.tasks = c.tasks[:0]
@@ -581,34 +515,18 @@ func (c *checkpointCoordinator) applyRescaleLocked(epoch int64) {
 		c.tasks = append(c.tasks, tc.TaskID)
 	}
 	sort.Slice(c.tasks, func(i, j int) bool { return c.tasks[i] < c.tasks[j] })
-	c.appliedRescale = plan
-}
-
-// applyRescaleMembership distributes every multicast group's post-rescale
-// membership (tree growth/prune over the §3.4 versioned switch) and only
-// then arms the restore — mirroring the failure path's repair-then-recover
-// ordering, so treesQuiet gates the restore markers behind the switches
-// just started. Runs with no coordinator lock held: CtrlTree distribution
-// blocks on the transfer queue when it is full.
-func (c *checkpointCoordinator) applyRescaleMembership(plan *rescalePlan) {
-	e := c.eng
+	c.applied.Store(&plan)
 	for _, desc := range e.groupDescs {
-		mgr, ok := e.managers[desc.id]
-		if !ok {
-			continue
-		}
-		local, members := e.groupMembership(desc, plan.newAssign)
-		mgr.applyMembership(local, members)
+		local, members := e.groupMembership(desc, na)
+		e.managers[desc.id].applyMembership(local, members)
 	}
-	c.mu.Lock()
 	c.recoverPending = true
-	c.mu.Unlock()
 }
 
-// beginRestoreLocked opens the restore phase: pick the latest committed
-// epoch, fence everything stamped before the crash, and distribute restore
-// markers to the surviving tasks.
-func (c *checkpointCoordinator) beginRestoreLocked() {
+// beginRestore opens the restore phase: pick the latest committed epoch,
+// fence everything stamped before the crash, and distribute restore markers
+// to the surviving tasks.
+func (c *checkpointCoordinator) beginRestore() {
 	from, ok, err := c.store.Latest()
 	if err != nil {
 		// A transient store error (FileStore ReadDir hiccup) must not be
@@ -636,8 +554,8 @@ func (c *checkpointCoordinator) beginRestoreLocked() {
 		Kind: obs.EventSnapshotRestore, Worker: c.home, Epoch: from,
 		Detail: fmt.Sprintf("restoring from epoch %d, fence %d", from, c.fence),
 	})
-	if !c.startRestoreWaveLocked(1) && !c.startRestoreWaveLocked(2) {
-		c.finishRestoreLocked()
+	if !c.startRestoreWave(1) && !c.startRestoreWave(2) {
+		c.finishRestore()
 	}
 }
 
@@ -721,9 +639,7 @@ func (c *checkpointCoordinator) restoreTask(ex *executor, from int64) error {
 		}
 		return sn.RestoreState(data)
 	}
-	c.mu.Lock()
-	plan := c.appliedRescale
-	c.mu.Unlock()
+	plan := c.applied.Load()
 	// The plan sources only restores at or before its aligned cut — epochs
 	// up to plan.epoch store the operator's shards under the pre-rescale
 	// task ids (the plan is discharged once a newer epoch commits, so this
@@ -986,7 +902,8 @@ func (ex *executor) onRestore(tp *tuple.Tuple) {
 }
 
 // ackCheckpoint reports snapshot/restore completion to the coordinator —
-// directly when it is local, as a CtrlSnapAck control frame otherwise
+// into the monitor's mailbox when it is local, as a CtrlSnapAck control
+// frame otherwise
 // (control stays inline at the receiver, so acks cannot deadlock behind
 // the data they describe).
 func (ex *executor) ackCheckpoint(direction byte, epoch int64) {
@@ -995,14 +912,10 @@ func (ex *executor) ackCheckpoint(direction byte, epoch int64) {
 		return
 	}
 	if ex.w.id == cc.home {
-		cc.handleAck(direction, ex.ctx.TaskID, epoch)
+		ex.w.eng.mon.post(snapAck{dir: direction, task: ex.ctx.TaskID, epoch: epoch})
 		return
 	}
-	cm := tuple.ControlMessage{Type: tuple.CtrlSnapAck, Direction: direction, Node: ex.ctx.TaskID, Epoch: epoch}
-	enc := tuple.AcquireEncoder()
-	raw := append([]byte(nil), enc.EncodeControlEnvelope(&cm)...)
-	tuple.ReleaseEncoder(enc)
-	ex.w.enqueueSend(sendJob{kind: jobControl, dstWorker: cc.home, raw: raw})
+	ex.w.sendControl(&tuple.ControlMessage{Type: tuple.CtrlSnapAck, Direction: direction, Node: ex.ctx.TaskID, Epoch: epoch}, cc.home)
 }
 
 // routeBarrier fans one epoch barrier out to every task of every subscribed

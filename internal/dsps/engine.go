@@ -125,8 +125,8 @@ type Config struct {
 
 	// CreditWindow is the per-link credit window in delivery units: the
 	// maximum units a sender may have outstanding (charged but not granted
-	// back) toward one destination worker (default 4096; negative disables
-	// flow control entirely). The default is deliberately several times the
+	// back) toward one destination worker (default 4096; negative is
+	// rejected by Start). The default is deliberately several times the
 	// per-hop buffering of the uncontrolled transport: the window must
 	// cover the grant round-trip at full rate, including scheduling delay
 	// on loaded hosts, or the credit protocol itself becomes the
@@ -234,11 +234,8 @@ func (c Config) withDefaults() Config {
 	if c.SendRetryBase <= 0 {
 		c.SendRetryBase = 200 * time.Microsecond
 	}
-	switch {
-	case c.CreditWindow == 0:
+	if c.CreditWindow == 0 {
 		c.CreditWindow = 4096
-	case c.CreditWindow < 0:
-		c.CreditWindow = 0
 	}
 	if c.LinkQueueCap <= 0 {
 		c.LinkQueueCap = 4096
@@ -386,22 +383,23 @@ type Engine struct {
 	opStatsMu  sync.Mutex              //whale:lockrank 13
 	opStats    map[string][]*opMetrics // per-executor shares, merged on read
 
-	detector *failureDetector        // nil unless HeartbeatInterval > 0
-	dead     []atomic.Bool           // confirmed-dead flags, read on the route/send hot paths
-	joined   []atomic.Bool           // membership flags; dormant workers are unjoined
-	hbStops  map[int32]chan struct{} // per-join heartbeat stop channels (guarded by mu)
-	welcomes map[int32]chan struct{} // joiner-side CtrlWelcome wait channels (guarded by mu)
-	ckpt     *checkpointCoordinator  // nil unless CheckpointInterval > 0
-	scaler   *autoscaler             // nil unless Autoscale.Interval > 0
+	// mon is the monitor loop: the single owner of detector, ckpt and scaler
+	// state (see monitor.go). The data plane reads only dead, joined and view.
+	mon      *monitor
+	detector *failureDetector       // nil unless HeartbeatInterval > 0
+	dead     []atomic.Bool          // confirmed-dead flags, read on the route/send hot paths
+	joined   []atomic.Bool          // membership flags; dormant workers are unjoined
+	ckpt     *checkpointCoordinator // nil unless CheckpointInterval > 0
+	scaler   *autoscaler            // nil unless Autoscale.Interval > 0
 
 	stopSpoutsOnce sync.Once
 	stopSpouts     chan struct{}
 	spoutWG        sync.WaitGroup
 	stopping       chan struct{} // closed first in Stop: aborts backoffs and credit waits
 	stopTick       chan struct{}
-	auxWG          sync.WaitGroup // managers, ack ticker, user tickers
-	stopped        bool
-	mu             sync.Mutex //whale:lockrank 10
+	auxWG          sync.WaitGroup // monitor loop, managers, heartbeats, tickers
+	stopped        bool           // guarded by mu, which guards nothing else
+	mu             sync.Mutex     //whale:lockrank 10
 }
 
 // tv returns the engine's live topology view. Hot path: one atomic load.
@@ -415,6 +413,9 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 	}
 	if cfg.Comm == InstanceOriented && cfg.Multicast != MulticastStar {
 		return nil, fmt.Errorf("dsps: tree multicast requires worker-oriented communication")
+	}
+	if cfg.CreditWindow < 0 {
+		return nil, fmt.Errorf("dsps: Config.CreditWindow must not be negative (every link is credited)")
 	}
 	if cfg.MaxSpoutPending > 0 && !cfg.AckEnabled {
 		return nil, fmt.Errorf("dsps: MaxSpoutPending requires AckEnabled")
@@ -440,9 +441,8 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 		stopTick:   make(chan struct{}),
 		dead:       make([]atomic.Bool, cfg.MaxWorkers),
 		joined:     make([]atomic.Bool, cfg.MaxWorkers),
-		hbStops:    map[int32]chan struct{}{},
-		welcomes:   map[int32]chan struct{}{},
 	}
+	eng.mon = newMonitor(eng)
 	for wid := 0; wid < cfg.Workers; wid++ {
 		eng.joined[wid].Store(true)
 	}
@@ -528,17 +528,13 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 				w.wg.Add(1)
 				go ex.runBolt()
 			}
-			if w.fc != nil {
-				w.wg.Add(1)
-				go ex.feed()
-			}
+			w.wg.Add(1)
+			go ex.feed()
 		}
 		w.sendWG.Add(1)
 		go w.sendLoop()
-		if w.fc != nil {
-			w.wg.Add(1)
-			go w.deliverLoop()
-		}
+		w.wg.Add(1)
+		go w.deliverLoop()
 	}
 	for _, mgr := range eng.managers {
 		if !mgr.adaptive {
@@ -552,27 +548,17 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 			if w.id == eng.detector.monitor || !eng.joined[w.id].Load() {
 				continue // the monitor observes; dormant workers beacon on join
 			}
-			eng.startHeartbeat(w)
+			eng.mon.startHeartbeat(w)
 		}
-		eng.auxWG.Add(1)
-		go eng.detectorLoop()
 	}
+	eng.auxWG.Add(1)
+	go eng.mon.run()
 	if cfg.AckEnabled {
 		eng.auxWG.Add(1)
 		go eng.ackTicker()
 	}
-	if cfg.CreditWindow > 0 && cfg.MaxWorkers > 1 {
-		eng.auxWG.Add(1)
-		go eng.creditTicker()
-	}
-	if eng.ckpt != nil {
-		eng.auxWG.Add(1)
-		go eng.ckpt.run()
-	}
-	if eng.scaler != nil {
-		eng.auxWG.Add(1)
-		go eng.scaler.run()
-	}
+	eng.auxWG.Add(1)
+	go eng.creditTicker()
 	for _, id := range topo.Order {
 		if iv := topo.Operators[id].TickInterval; iv > 0 && !topo.Operators[id].IsSpout {
 			eng.auxWG.Add(1)
@@ -939,9 +925,14 @@ func (e *Engine) TransferQueueLen(w int32) int { return len(e.workers[w].transfe
 // ActiveDstar reports the current out-degree cap of the first adaptive
 // multicast group, or 0 if none exists.
 func (e *Engine) ActiveDstar() int {
-	for _, mgr := range e.managers {
-		if mgr.adaptive {
-			return mgr.ctrl.Dstar()
+	for _, desc := range e.groupDescs {
+		if mgr := e.managers[desc.id]; mgr.adaptive {
+			// curDstar, not ctrl.Dstar(): the controller belongs to the
+			// group's control loop and is not safe to read from here.
+			mgr.mu.Lock()
+			d := mgr.curDstar
+			mgr.mu.Unlock()
+			return d
 		}
 	}
 	return 0
@@ -976,7 +967,7 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 				empty = false
 				break
 			}
-			if w.fc != nil && w.fc.queued() > 0 {
+			if w.fc.queued() > 0 {
 				empty = false
 				break
 			}
@@ -1045,9 +1036,7 @@ func (e *Engine) Stop() {
 	// Flow links drain after the send loops stop feeding them; credit
 	// waits were already released by e.stopping.
 	for _, w := range e.workers {
-		if w.fc != nil {
-			w.fc.close()
-		}
+		w.fc.close()
 	}
 	// Best-effort teardown: workers are already joined, so a close error
 	// here has no one left to act on it.
@@ -1135,8 +1124,9 @@ type mcManager struct {
 	sm       control.StreamMonitor
 	qm       control.QueueMonitor
 
-	// mu guards the mutable switch/membership state; the repair path
-	// (failure-detector goroutine) runs concurrently with the control loop.
+	// mu guards the mutable switch/membership state: the group's control
+	// loop, the monitor loop (repair, rescale) and the dispatch path (acks)
+	// all reach it.
 	mu             sync.Mutex //whale:lockrank 15
 	members        []int32    // live membership; starts as desc.members, shrinks on failure
 	pendingVersion int32
@@ -1226,52 +1216,63 @@ func (m *mcManager) maybeSwitch(dec control.Decision, queueLen int) {
 		return
 	}
 	m.eng.metrics.Switches.Inc()
-	m.mu.Lock()
-	version := m.nextVersion
-	m.nextVersion++
-	m.pendingVersion = version
-	m.pendingTree = next
-	m.pendingAcks = map[int32]bool{}
-	for _, w := range members {
-		m.pendingAcks[w] = false
-	}
-	m.switchStart = time.Now()
-	m.mu.Unlock()
-	kind := obs.EventScaleUp
+	kind, direction := obs.EventScaleUp, tuple.SwitchScaleUp
 	if dec.Action == control.ScaleDown {
 		kind = obs.EventScaleDown
 	}
-	m.eng.obs.Events.Append(obs.Event{
-		Kind: kind, Group: m.desc.id, Worker: m.w.id, Version: version,
-		OldDstar: oldDstar, NewDstar: dec.NewDstar,
-		Lambda: dec.Lambda, Te: dec.Te, QueueLen: queueLen,
-		Detail: fmt.Sprintf("%d subtree moves", len(moves)),
-	})
-	m.eng.obs.Events.Append(obs.Event{
-		Kind: obs.EventTreeRebuild, Group: m.desc.id, Worker: m.w.id,
-		Version: version, OldDstar: oldDstar, NewDstar: dec.NewDstar,
-		Detail: fmt.Sprintf("switch to version %d distributed to %d members", version, len(members)),
-	})
-
-	// Distribute the new structure. The CtrlTree message carries the full
-	// adjacency (each relay "stores the structure of the multicast tree").
-	nodes, parents := next.Flatten()
-	direction := tuple.SwitchScaleUp
 	if dir == multicast.ScaleDownSwitch {
 		direction = tuple.SwitchScaleDown
 	}
-	cm := tuple.ControlMessage{
+	m.distribute(next, members, direction,
+		fmt.Sprintf("switch distributed to %d members", len(members)),
+		obs.Event{
+			Kind: kind, OldDstar: oldDstar, NewDstar: dec.NewDstar,
+			Lambda: dec.Lambda, Te: dec.Te, QueueLen: queueLen,
+			Detail: fmt.Sprintf("%d subtree moves", len(moves)),
+		})
+}
+
+// distribute starts the §3.4 switch to tree next: it supersedes any switch
+// still in flight, a fresh version opens an ack ledger over members, and
+// the CtrlTree — carrying the full adjacency, each relay "stores the
+// structure of the multicast tree" — goes to every member; handleAck
+// activates the version when the last ack arrives. With no member left to
+// coordinate with it activates locally. lead events are stamped with the
+// version and logged ahead of the tree-rebuild event. Distribution may
+// block on the transfer queue; m.mu is not held across it.
+func (m *mcManager) distribute(next *multicast.Tree, members []int32, direction byte, detail string, lead ...obs.Event) {
+	m.mu.Lock()
+	version := m.nextVersion
+	m.nextVersion++
+	m.pendingVersion, m.pendingTree, m.pendingAcks = 0, nil, nil
+	if len(members) > 0 {
+		m.pendingVersion = version
+		m.pendingTree = next
+		m.pendingAcks = make(map[int32]bool, len(members))
+		for _, w := range members {
+			m.pendingAcks[w] = false
+		}
+		m.switchStart = time.Now()
+	}
+	dstar := m.curDstar
+	m.mu.Unlock()
+
+	for _, ev := range append(lead, obs.Event{Kind: obs.EventTreeRebuild, NewDstar: dstar, Detail: detail}) {
+		ev.Group, ev.Worker, ev.Version = m.desc.id, m.w.id, version
+		m.eng.obs.Events.Append(ev)
+	}
+	if len(members) == 0 {
+		gs := m.w.groups[m.desc.id]
+		gs.install(version, next)
+		gs.activate(version)
+		return
+	}
+	nodes, parents := next.Flatten()
+	m.w.sendControl(&tuple.ControlMessage{
 		Type: tuple.CtrlTree, Direction: direction,
 		Group: m.desc.id, Version: version,
 		Nodes: nodes, Parents: parents,
-	}
-	raw := tuple.AppendWorkerMessage(nil, &tuple.WorkerMessage{
-		Kind:    tuple.KindControl,
-		Payload: tuple.AppendControlMessage(nil, &cm),
-	})
-	for _, dst := range members {
-		m.w.enqueueSend(sendJob{kind: jobControl, dstWorker: dst, raw: raw})
-	}
+	}, members...)
 }
 
 // handleAck records one member's acknowledgement; when the last arrives the
@@ -1310,13 +1311,13 @@ func (m *mcManager) handleAck(version int32, node int32) {
 }
 
 // applyMembership installs a new membership for the group: the live
-// worker->tasks map is swapped, the active tree is extended (AddNode,
+// worker->tasks map is swapped (nil keeps it — a failure changes who is
+// reachable, not who subscribes), the active tree is extended (AddNode,
 // BFS-shallowest under the current d* cap) and/or pruned (RemoveNode) to
-// the new member set, and the result is distributed as a fresh tree version
-// over the ordinary §3.4 CtrlTree/ack switch. Runs during a rescale commit
-// with no coordinator lock held (distribution may block on the transfer
-// queue). Dead workers are excluded from the target set — they can never
-// ack.
+// the new member set, and the result is distributed as a fresh tree
+// version. Runs on the monitor loop, on a rescale commit and on a confirmed
+// worker failure. Dead workers are excluded from the target set — they can
+// never ack.
 func (m *mcManager) applyMembership(newLocal map[int32][]int32, newMembers []int32) {
 	live := make([]int32, 0, len(newMembers))
 	for _, w := range newMembers {
@@ -1324,29 +1325,24 @@ func (m *mcManager) applyMembership(newLocal map[int32][]int32, newMembers []int
 			live = append(live, w)
 		}
 	}
-	m.desc.lt.Store(&newLocal)
+	if newLocal != nil {
+		m.desc.lt.Store(&newLocal)
+	}
 
 	m.mu.Lock()
-	same := len(live) == len(m.members)
-	if same {
-		for i, w := range m.members {
-			if live[i] != w {
-				same = false
-				break
-			}
-		}
+	old := m.members
+	same := len(live) == len(old)
+	for i := 0; same && i < len(old); i++ {
+		same = live[i] == old[i]
 	}
 	if same {
 		m.mu.Unlock()
 		return
 	}
-	old := append([]int32(nil), m.members...)
-	m.members = append([]int32(nil), live...)
-	// Cancel any in-flight switch: its ledger was built against the old
+	m.members = live
+	// Cancel any in-flight switch now: its ledger was built against the old
 	// membership and a departing member would wedge it forever.
-	m.pendingVersion = 0
-	m.pendingTree = nil
-	m.pendingAcks = nil
+	m.pendingVersion, m.pendingTree, m.pendingAcks = 0, nil, nil
 	dstar := m.curDstar
 	m.mu.Unlock()
 
@@ -1378,42 +1374,10 @@ func (m *mcManager) applyMembership(newLocal map[int32][]int32, newMembers []int
 			}
 		}
 	}
-
-	m.mu.Lock()
-	version := m.nextVersion
-	m.nextVersion++
-	if len(live) > 0 {
-		m.pendingVersion = version
-		m.pendingTree = next
-		m.pendingAcks = make(map[int32]bool, len(live))
-		for _, w := range live {
-			m.pendingAcks[w] = false
-		}
-		m.switchStart = time.Now()
+	direction := tuple.SwitchScaleUp
+	if len(live) < len(old) {
+		direction = tuple.SwitchScaleDown
 	}
-	m.mu.Unlock()
-
-	m.eng.obs.Events.Append(obs.Event{
-		Kind: obs.EventTreeRebuild, Group: m.desc.id, Worker: m.w.id,
-		Version: version, NewDstar: dstar,
-		Detail: fmt.Sprintf("membership change: %d -> %d members, version %d", len(old), len(live), version),
-	})
-	if len(live) == 0 {
-		gs.install(version, next)
-		gs.activate(version)
-		return
-	}
-	nodes, parents := next.Flatten()
-	cm := tuple.ControlMessage{
-		Type: tuple.CtrlTree, Direction: tuple.SwitchScaleUp,
-		Group: m.desc.id, Version: version,
-		Nodes: nodes, Parents: parents,
-	}
-	raw := tuple.AppendWorkerMessage(nil, &tuple.WorkerMessage{
-		Kind:    tuple.KindControl,
-		Payload: tuple.AppendControlMessage(nil, &cm),
-	})
-	for _, dst := range live {
-		m.w.enqueueSend(sendJob{kind: jobControl, dstWorker: dst, raw: raw})
-	}
+	m.distribute(next, live, direction,
+		fmt.Sprintf("membership change: %d -> %d members", len(old), len(live)))
 }

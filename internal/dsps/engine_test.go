@@ -623,3 +623,52 @@ func TestReconfigurationEventOrdering(t *testing.T) {
 		t.Fatalf("tree rebuild events = %d, want 3", rebuilds)
 	}
 }
+
+// TestActiveDstarConcurrentWithControlLoop reads the engine's d* gauge while
+// the group's control loop runs (under -race: the gauge must not reach into
+// the controller, which belongs to that loop). The test plays the loop
+// itself so that every round writes the controller: a scale-up the
+// Theorem 5 guard rejects forces d* back.
+func TestActiveDstarConcurrentWithControlLoop(t *testing.T) {
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return &countSpout{n: 0, keys: 1} }, 1)
+	b.Bolt("dst", func() Bolt { return &captureBolt{cap: newCapture()} }, 6).All("src")
+	topo, _ := b.Build()
+	eng, err := Start(topo, Config{
+		Workers: 7, Network: transport.NewInprocNetwork(0),
+		Comm: WorkerOriented, Multicast: MulticastNonBlocking,
+		InitialDstar: 3, MonitorInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	mgr := eng.managers[0]
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if d := eng.ActiveDstar(); d != 3 {
+					t.Errorf("ActiveDstar = %d while every switch was rejected, want 3", d)
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		mgr.tick()
+		mgr.maybeSwitch(control.Decision{Action: control.ScaleUp, NewDstar: 4, Lambda: 1, Te: 1e-6}, 0)
+	}
+	close(stop)
+	wg.Wait()
+	if n := eng.Metrics().SkippedSwitches.Value(); n != 200 {
+		t.Fatalf("skipped switches = %d, want 200 (the guard must reject every round)", n)
+	}
+}

@@ -99,11 +99,11 @@ type executor struct {
 
 	ops *opMetrics
 
-	// Admission overflow (flow-controlled mode only): remote tuples that
-	// found the input queue full are parked here and moved into `in` by the
-	// feeder goroutine, so the worker's delivery loop never blocks on one
-	// slow executor — a stalled task stops its own senders (grants are
-	// issued only when a tuple wins a queue seat), not its siblings'.
+	// Admission overflow: remote tuples that found the input queue full are
+	// parked here and moved into `in` by the feeder goroutine, so the
+	// worker's delivery loop never blocks on one slow executor — a stalled
+	// task stops its own senders (grants are issued only when a tuple wins a
+	// queue seat), not its siblings'.
 	// Occupancy is bounded by the credit protocol: once grants stall, every
 	// upstream sender stops within its window.
 	ovMu     sync.Mutex
@@ -147,10 +147,8 @@ func newExecutor(w *worker, ctx TaskContext, spec *OperatorSpec, assign *Assignm
 		isSink: isSink,
 		in:     make(chan tuple.AddressedTuple, queueDepth),
 		ops:    ops,
+		ovKick: make(chan struct{}, 1),
 		rng:    rand.New(rand.NewSource(int64(ctx.TaskID)*7919 + 1)),
-	}
-	if w.fc != nil {
-		ex.ovKick = make(chan struct{}, 1)
 	}
 	ex.col = &Collector{ex: ex}
 	if spec.IsSpout {
@@ -205,7 +203,6 @@ func (ex *executor) rebuildRouting() {
 
 // feed drains the admission overflow into the executor's input queue in
 // arrival order, granting each tuple's delivery unit once it wins a seat.
-// Runs only in flow-controlled mode.
 func (ex *executor) feed() {
 	defer ex.w.wg.Done()
 	for {
@@ -244,9 +241,6 @@ func (ex *executor) feed() {
 
 // overflowLen reports the admission overflow depth (drain accounting).
 func (ex *executor) overflowLen() int {
-	if ex.ovKick == nil {
-		return 0
-	}
 	ex.ovMu.Lock()
 	defer ex.ovMu.Unlock()
 	return len(ex.overflow)
@@ -401,8 +395,8 @@ func (ex *executor) runSpout() {
 	defer ex.w.wg.Done()
 	ex.spout.Open(&ex.ctx)
 	defer ex.spout.Close()
-	if cc := ex.w.eng.ckpt; cc != nil {
-		defer cc.noteSpoutExit(ex)
+	if ex.w.eng.ckpt != nil {
+		defer ex.w.eng.mon.spoutExited(ex)
 	}
 	maxPending := ex.w.eng.cfg.MaxSpoutPending
 	for {

@@ -2,7 +2,6 @@ package dsps
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -33,13 +32,13 @@ const (
 )
 
 // failureDetector is the monitor-side liveness state. lastSeen is written
-// from the monitor worker's dispatch path (any message counts), the state
-// machine only advances on the sweep goroutine.
+// from the monitor worker's dispatch path (any message counts); state is
+// owned by the monitor loop, which alone advances the machine.
 type failureDetector struct {
 	eng      *Engine
 	monitor  int32
 	lastSeen []atomic.Int64
-	state    []atomic.Int32
+	state    []int32
 	// degraded is the overload path's advisory marks: a subscriber paused
 	// past DegradedAfter is degraded — slow, not dead. It never feeds the
 	// fencing state machine above.
@@ -51,7 +50,7 @@ func newFailureDetector(e *Engine) *failureDetector {
 		eng:      e,
 		monitor:  0,
 		lastSeen: make([]atomic.Int64, e.cfg.MaxWorkers),
-		state:    make([]atomic.Int32, e.cfg.MaxWorkers),
+		state:    make([]int32, e.cfg.MaxWorkers),
 		degraded: make([]atomic.Bool, e.cfg.MaxWorkers),
 	}
 	now := time.Now().UnixNano()
@@ -96,10 +95,10 @@ func (fd *failureDetector) sweep(now time.Time) {
 			continue
 		}
 		silence := nowNS - fd.lastSeen[w].Load()
-		switch fd.state[w].Load() {
+		switch fd.state[w] {
 		case wsAlive:
 			if silence > suspectNS {
-				fd.state[w].Store(wsSuspect)
+				fd.state[w] = wsSuspect
 				fd.eng.obs.Events.Append(obs.Event{
 					Kind: obs.EventWorkerSuspect, Worker: int32(w),
 					Detail: fmt.Sprintf("silent for %v", time.Duration(silence)),
@@ -108,13 +107,13 @@ func (fd *failureDetector) sweep(now time.Time) {
 		case wsSuspect:
 			switch {
 			case silence <= suspectNS:
-				fd.state[w].Store(wsAlive)
+				fd.state[w] = wsAlive
 				fd.eng.obs.Events.Append(obs.Event{
 					Kind: obs.EventWorkerRecover, Worker: int32(w),
 					Detail: "traffic resumed before confirmation",
 				})
 			case silence > confirmNS:
-				fd.state[w].Store(wsDead)
+				fd.state[w] = wsDead
 				fd.eng.obs.Events.Append(obs.Event{
 					Kind: obs.EventWorkerDead, Worker: int32(w),
 					Detail: fmt.Sprintf("silent for %v; repairing trees", time.Duration(silence)),
@@ -152,34 +151,14 @@ func (e *Engine) heartbeatLoop(w *worker, stop chan struct{}) {
 	}
 }
 
-// detectorLoop runs the monitor's periodic silence sweep.
-func (e *Engine) detectorLoop() {
-	defer e.auxWG.Done()
-	ticker := time.NewTicker(e.cfg.HeartbeatInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stopTick:
-			return
-		case <-ticker.C:
-			e.detector.sweep(time.Now())
-		}
-	}
-}
-
 // onWorkerDead fences a confirmed-dead worker and repairs every multicast
-// group it belonged to. Runs on the detector goroutine.
+// group it belonged to. Runs on the monitor loop.
 func (e *Engine) onWorkerDead(dead int32) {
 	e.dead[dead].Store(true)
 	e.metrics.WorkerFailures.Inc()
 	// Repair groups in id order so multi-group recovery is deterministic.
-	gids := make([]int32, 0, len(e.managers))
-	for gid := range e.managers {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids {
-		e.managers[gid].handleWorkerFailure(dead)
+	for _, desc := range e.groupDescs {
+		e.managers[desc.id].handleWorkerFailure(dead)
 	}
 	// Checkpointing: the in-flight epoch can no longer complete; restore
 	// begins once the repairs just distributed have activated.
@@ -237,81 +216,18 @@ func (e *Engine) TasksOf(op string) []int32 {
 func (e *Engine) WorkerOfTask(tid int32) int32 { return e.tv().assign.WorkerOf[tid] }
 
 // handleWorkerFailure repairs this group's tree after a confirmed worker
-// failure: the dead worker leaves the membership, any in-flight switch is
-// cancelled (a dead member can never ack it), and a repaired tree —
-// RemoveNode re-parents the orphaned subtree under surviving nodes with
-// spare out-degree — is distributed to the survivors as a new version
-// through the ordinary CtrlTree/ack activation path.
+// failure: the membership is re-applied without the dead worker, which
+// cancels any in-flight switch (a dead member can never ack it) and sends
+// the pruned tree — RemoveNode re-parents the orphaned subtree under
+// surviving nodes with spare out-degree — to the survivors as a new version.
 func (m *mcManager) handleWorkerFailure(dead int32) {
 	m.mu.Lock()
-	found := false
-	for i, w := range m.members {
-		if w == dead {
-			m.members = append(m.members[:i:i], m.members[i+1:]...)
-			found = true
-			break
+	survivors := make([]int32, 0, len(m.members))
+	for _, w := range m.members {
+		if w != dead {
+			survivors = append(survivors, w)
 		}
 	}
-	if !found {
-		m.mu.Unlock()
-		return
-	}
-	m.pendingVersion = 0
-	m.pendingTree = nil
-	// Clear the ack ledger too: a cancelled switch that leaves stale
-	// pendingAcks behind would mis-account a later switch's acks if the
-	// same version number pairing ever recurs after a leave/rejoin cycle.
-	m.pendingAcks = nil
-	dstar := m.curDstar
-	survivors := append([]int32(nil), m.members...)
 	m.mu.Unlock()
-
-	gs := m.w.groups[m.desc.id]
-	cur, ok := gs.tree(gs.activeVersion())
-	if !ok || !cur.Contains(dead) {
-		return
-	}
-	next := cur.Clone()
-	if err := next.RemoveNode(dead, dstar); err != nil {
-		return // removing the source: the group died with its worker
-	}
-
-	m.mu.Lock()
-	version := m.nextVersion
-	m.nextVersion++
-	if len(survivors) > 0 {
-		m.pendingVersion = version
-		m.pendingTree = next
-		m.pendingAcks = make(map[int32]bool, len(survivors))
-		for _, w := range survivors {
-			m.pendingAcks[w] = false
-		}
-		m.switchStart = time.Now()
-	}
-	m.mu.Unlock()
-
-	m.eng.obs.Events.Append(obs.Event{
-		Kind: obs.EventTreeRebuild, Group: m.desc.id, Worker: m.w.id,
-		Version: version, NewDstar: dstar,
-		Detail: fmt.Sprintf("repair: worker %d removed, version %d to %d survivors", dead, version, len(survivors)),
-	})
-	if len(survivors) == 0 {
-		// Nothing left to coordinate with: activate locally.
-		gs.install(version, next)
-		gs.activate(version)
-		return
-	}
-	nodes, parents := next.Flatten()
-	cm := tuple.ControlMessage{
-		Type: tuple.CtrlTree, Direction: tuple.SwitchScaleDown,
-		Group: m.desc.id, Version: version,
-		Nodes: nodes, Parents: parents,
-	}
-	raw := tuple.AppendWorkerMessage(nil, &tuple.WorkerMessage{
-		Kind:    tuple.KindControl,
-		Payload: tuple.AppendControlMessage(nil, &cm),
-	})
-	for _, dst := range survivors {
-		m.w.enqueueSend(sendJob{kind: jobControl, dstWorker: dst, raw: raw})
-	}
+	m.applyMembership(nil, survivors)
 }

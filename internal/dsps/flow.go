@@ -682,14 +682,10 @@ type LinkStat struct {
 }
 
 // LinkStats snapshots every flow-controlled link, ordered by (From, To).
-// Empty when flow control is disabled.
 func (e *Engine) LinkStats() []LinkStat {
 	var out []LinkStat
 	for _, w := range e.workers {
 		fc := w.fc
-		if fc == nil {
-			continue
-		}
 		fc.mu.Lock()
 		for dst, l := range fc.links {
 			state := l.state.Load()
@@ -732,7 +728,7 @@ func (e *Engine) LinkStats() []LinkStat {
 }
 
 // creditTicker periodically rebroadcasts cumulative grants from every
-// worker, healing grants lost to faults. Runs only when flow control is on.
+// worker, healing grants lost to faults.
 func (e *Engine) creditTicker() {
 	defer e.auxWG.Done()
 	ticker := time.NewTicker(creditRefreshInterval)
@@ -743,9 +739,7 @@ func (e *Engine) creditTicker() {
 			return
 		case <-ticker.C:
 			for _, w := range e.workers {
-				if w.fc != nil {
-					w.fc.rebroadcast()
-				}
+				w.fc.rebroadcast()
 			}
 		}
 	}

@@ -158,8 +158,11 @@ func TestAckedTuplesNeverShed(t *testing.T) {
 	spout := &reliableSpout{n: n}
 	eng := startAckTopology(t, spout, &ackingBolt{forward: true}, Config{
 		Comm:         WorkerOriented,
-		CreditWindow: 4, LinkQueueCap: 8, ExecutorQueueCap: 4, ShedPolicy: ShedNewest,
-		MaxSpoutPending: 32,
+		CreditWindow: 4, LinkQueueCap: 8, ShedPolicy: ShedNewest,
+		// The spout's queue must hold an ack event for every tree in flight:
+		// with fewer seats than MaxSpoutPending the local acker can block on
+		// it while the spout blocks emitting to the acker, and neither moves.
+		ExecutorQueueCap: 64, MaxSpoutPending: 32,
 	})
 	eng.WaitSpouts()
 	eng.Stop()
@@ -323,15 +326,14 @@ func TestStopUnblocksSendRetryBackoff(t *testing.T) {
 	topo, _ := b.Build()
 	eng, err := Start(topo, Config{
 		Workers: 2, Network: net, Comm: WorkerOriented,
-		CreditWindow: -1, // exercise the direct send path
-		SendRetries:  10, SendRetryBase: 2 * time.Second,
+		SendRetries: 10, SendRetryBase: 2 * time.Second,
 		DrainTimeout: 100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng.WaitSpouts()
-	time.Sleep(100 * time.Millisecond) // let the send loop enter a backoff wait
+	time.Sleep(100 * time.Millisecond) // let the flow link enter a backoff wait
 	t0 := time.Now()
 	eng.Stop()
 	if elapsed := time.Since(t0); elapsed > 1500*time.Millisecond {

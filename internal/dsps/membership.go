@@ -29,28 +29,13 @@ func (e *Engine) joinedWorker(w int32) bool {
 
 // startHeartbeat launches one worker's beacon loop with a per-join stop
 // channel so a graceful leave can silence it without touching the engine's
-// global shutdown plumbing. Caller must not hold e.mu.
-func (e *Engine) startHeartbeat(w *worker) {
+// global shutdown plumbing. Runs on the monitor loop (or in Start, before
+// the loop exists), so the auxWG count it raises is still held open.
+func (m *monitor) startHeartbeat(w *worker) {
 	stop := make(chan struct{})
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.stopped {
-		return
-	}
-	e.hbStops[w.id] = stop
-	e.auxWG.Add(1)
-	go e.heartbeatLoop(w, stop)
-}
-
-// stopHeartbeat silences a worker's beacon loop if one is running.
-func (e *Engine) stopHeartbeat(id int32) {
-	e.mu.Lock()
-	stop, ok := e.hbStops[id]
-	delete(e.hbStops, id)
-	e.mu.Unlock()
-	if ok {
-		close(stop)
-	}
+	m.hbStops[w.id] = stop
+	m.eng.auxWG.Add(1)
+	go m.eng.heartbeatLoop(w, stop)
 }
 
 // JoinWorker admits dormant worker id into the live membership through the
@@ -63,46 +48,25 @@ func (e *Engine) JoinWorker(id int32) error {
 	if id < 0 || int(id) >= e.cfg.MaxWorkers {
 		return fmt.Errorf("dsps: join of unknown worker %d (MaxWorkers %d)", id, e.cfg.MaxWorkers)
 	}
-	if e.workerDead(id) {
-		return fmt.Errorf("dsps: worker %d is confirmed dead and cannot rejoin", id)
+	var welcome chan struct{}
+	err := e.mon.do(func() (err error) {
+		welcome, err = e.mon.beginJoin(id)
+		return err
+	})
+	if err != nil || welcome == nil {
+		return err
 	}
-	if e.joinedWorker(id) {
-		return fmt.Errorf("dsps: worker %d already joined", id)
-	}
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
-		return fmt.Errorf("dsps: engine stopped")
-	}
-	e.mu.Unlock()
-	if e.detector == nil {
-		e.admitWorker(id)
-		return nil
-	}
-
-	w := e.workers[id]
-	e.mu.Lock()
-	welcome, ok := e.welcomes[id]
-	if !ok {
-		welcome = make(chan struct{})
-		e.welcomes[id] = welcome
-	}
-	e.mu.Unlock()
 
 	enc := tuple.NewEncoder()
 	backoff := e.cfg.HeartbeatInterval
-	if backoff <= 0 {
-		backoff = 5 * time.Millisecond
-	}
 	for attempt := int32(1); attempt <= joinAttempts; attempt++ {
 		cm := tuple.ControlMessage{Type: tuple.CtrlJoin, Node: id, Version: attempt}
 		// Like heartbeats, the handshake bypasses the transfer queue: the
 		// joiner hosts no tasks yet, but a send-thread stall elsewhere must
 		// not be able to delay admission.
-		_ = w.tr.Send(e.detector.monitor, enc.EncodeControlEnvelope(&cm))
+		_ = e.workers[id].tr.Send(e.detector.monitor, enc.EncodeControlEnvelope(&cm))
 		select {
 		case <-welcome:
-			e.startHeartbeat(w)
 			return nil
 		case <-e.stopping:
 			return fmt.Errorf("dsps: engine stopping during join of worker %d", id)
@@ -115,19 +79,44 @@ func (e *Engine) JoinWorker(id int32) error {
 	return fmt.Errorf("dsps: worker %d join timed out after %d attempts", id, joinAttempts)
 }
 
-// admitWorker performs the monitor-side admission. Idempotent: the first
-// call flips the membership bit and logs the event; every call refreshes
-// the liveness clock so the sweep cannot suspect a worker between its
-// admission and its first heartbeat.
-func (e *Engine) admitWorker(id int32) {
-	if id < 0 || int(id) >= len(e.joined) || e.workerDead(id) {
+// beginJoin validates a join and opens (or re-opens, after a timed-out
+// attempt) the wait its CtrlWelcome resolves. A nil channel with a nil
+// error means the worker was admitted on the spot.
+func (m *monitor) beginJoin(id int32) (chan struct{}, error) {
+	e := m.eng
+	if e.workerDead(id) {
+		return nil, fmt.Errorf("dsps: worker %d is confirmed dead and cannot rejoin", id)
+	}
+	if e.joinedWorker(id) {
+		return nil, fmt.Errorf("dsps: worker %d already joined", id)
+	}
+	if e.detector == nil {
+		m.admit(id)
+		return nil, nil
+	}
+	welcome, ok := m.joining[id]
+	if !ok {
+		welcome = make(chan struct{})
+		m.joining[id] = welcome
+	}
+	return welcome, nil
+}
+
+// admit performs the monitor-side admission. Idempotent: the first call
+// flips the membership bit and logs the event; every call refreshes the
+// liveness clock so the sweep cannot suspect a worker between its admission
+// and its first heartbeat.
+func (m *monitor) admit(id int32) {
+	e := m.eng
+	if e.workerDead(id) {
 		return
 	}
 	if fd := e.detector; fd != nil {
 		fd.lastSeen[id].Store(time.Now().UnixNano())
-		fd.state[id].Store(wsAlive)
+		fd.state[id] = wsAlive
 	}
-	if e.joined[id].CompareAndSwap(false, true) {
+	if !e.joined[id].Load() {
+		e.joined[id].Store(true)
 		e.obs.Events.Append(obs.Event{
 			Kind: obs.EventWorkerJoined, Worker: id,
 			Detail: "admitted by monitor; membership grown",
@@ -135,40 +124,36 @@ func (e *Engine) admitWorker(id int32) {
 	}
 }
 
-// admitPendingWorker admits id only while a JoinWorker call still awaits
-// its CtrlWelcome. The check and the admission run atomically with
-// completeJoin's resolution of that wait (both under e.mu), so once the
-// handshake has completed not a single stale CtrlJoin retry can re-admit
-// the worker — in particular not after an intervening LeaveWorker, whose
-// heartbeats are stopped and whose re-admission the sweep would therefore
-// confirm dead.
-func (e *Engine) admitPendingWorker(id int32) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.welcomes[id]; !ok {
-		return
+// onJoin handles a CtrlJoin at the monitor. Admission is gated on a
+// JoinWorker call still awaiting its welcome: once the handshake has
+// completed not a single stale retry can re-admit the worker — in
+// particular not after an intervening LeaveWorker, whose heartbeats are
+// stopped and whose re-admission the sweep would therefore confirm dead.
+// Every CtrlJoin re-replies CtrlWelcome regardless, so a lost or reordered
+// welcome is healed by the joiner's next retry.
+func (m *monitor) onJoin(ev ctrlJoin) {
+	if _, ok := m.joining[ev.node]; ok {
+		m.admit(ev.node)
 	}
-	e.admitWorker(id)
+	m.eng.workers[m.eng.detector.monitor].sendControl(
+		&tuple.ControlMessage{Type: tuple.CtrlWelcome, Node: ev.node, Version: ev.attempt}, ev.node)
 }
 
-// completeJoin resolves the joiner-side wait when its CtrlWelcome arrives.
-// Duplicate welcomes (the monitor re-replies per CtrlJoin) are no-ops.
-func (e *Engine) completeJoin(id int32) {
+// onWelcome resolves the joiner-side wait when its CtrlWelcome arrives and
+// starts the joiner's beacon. Duplicate welcomes (the monitor re-replies
+// per CtrlJoin) are no-ops.
+func (m *monitor) onWelcome(id int32) {
 	// Resolve only once the admission is visible: the monitor admits before
 	// it replies, so a welcome observed while the worker is still unjoined
 	// is a stale frame from an earlier handshake (this join's own CtrlJoin
 	// has not been processed yet) — resolving on it would delete the wait
-	// entry admitPendingWorker gates on and strand the join unadmitted.
-	if !e.joinedWorker(id) {
+	// entry onJoin gates on and strand the join unadmitted.
+	if !m.eng.joinedWorker(id) {
 		return
 	}
-	e.mu.Lock()
-	welcome, ok := e.welcomes[id]
-	if ok {
-		delete(e.welcomes, id)
-	}
-	e.mu.Unlock()
-	if ok {
+	if welcome, ok := m.joining[id]; ok {
+		delete(m.joining, id)
+		m.startHeartbeat(m.eng.workers[id])
 		close(welcome)
 	}
 }
@@ -179,30 +164,38 @@ func (e *Engine) completeJoin(id int32) {
 // failure confirmation, leaving is not terminal: the worker keeps its
 // transport and loops running and may JoinWorker again later.
 func (e *Engine) LeaveWorker(id int32) error {
+	return e.mon.do(func() error { return e.mon.leave(id) })
+}
+
+func (m *monitor) leave(id int32) error {
+	e := m.eng
 	if !e.joinedWorker(id) {
 		return fmt.Errorf("dsps: worker %d is not joined", id)
 	}
 	if e.workerDead(id) {
 		return fmt.Errorf("dsps: worker %d is confirmed dead", id)
 	}
-	if e.detector != nil && id == e.detector.monitor {
-		return fmt.Errorf("dsps: worker %d is the monitor and cannot leave", id)
-	}
 	if id == 0 {
-		return fmt.Errorf("dsps: worker 0 hosts the coordinator and cannot leave")
+		return fmt.Errorf("dsps: worker 0 hosts the monitor and cannot leave")
 	}
 	if tasks := e.tv().assign.LocalTasks(id); len(tasks) > 0 {
 		return fmt.Errorf("dsps: worker %d still hosts %d tasks", id, len(tasks))
 	}
-	if e.ckpt != nil && e.ckpt.planTargets(id) {
+	// A requested-but-unapplied plan that places tasks on id applies at a
+	// later epoch commit; a host that left in between would carry the new
+	// tasks while unjoined — invisible to the failure sweep.
+	if c := e.ckpt; c != nil && c.pendingRescale != nil && len(c.pendingRescale.newAssign.LocalTasks(id)) > 0 {
 		return fmt.Errorf("dsps: worker %d is a placement target of a pending rescale", id)
 	}
-	e.stopHeartbeat(id)
+	if stop, ok := m.hbStops[id]; ok {
+		delete(m.hbStops, id)
+		close(stop)
+	}
 	e.joined[id].Store(false)
 	if fd := e.detector; fd != nil {
 		// Reset the liveness state so a later rejoin starts clean instead of
 		// inheriting pre-leave silence.
-		fd.state[id].Store(wsAlive)
+		fd.state[id] = wsAlive
 		fd.lastSeen[id].Store(time.Now().UnixNano())
 	}
 	e.obs.Events.Append(obs.Event{
@@ -254,6 +247,13 @@ type MembershipReport struct {
 // the detector sees it, each multicast group's live membership and active
 // tree version, and the current (possibly rescaled) operator placement.
 func (e *Engine) Membership() MembershipReport {
+	var rep MembershipReport
+	e.mon.read(func() { rep = e.mon.membership() })
+	return rep
+}
+
+func (m *monitor) membership() MembershipReport {
+	e := m.eng
 	tv := e.tv()
 	rep := MembershipReport{MaxWorkers: e.cfg.MaxWorkers}
 	for id := int32(0); int(id) < e.cfg.MaxWorkers; id++ {
@@ -263,7 +263,7 @@ func (e *Engine) Membership() MembershipReport {
 			ws.State = "dead"
 		case !ws.Joined:
 			ws.State = "dormant"
-		case e.detector != nil && e.detector.state[id].Load() == wsSuspect:
+		case e.detector != nil && e.detector.state[id] == wsSuspect:
 			ws.State = "suspect"
 		default:
 			ws.State = "alive"
@@ -273,21 +273,16 @@ func (e *Engine) Membership() MembershipReport {
 		}
 		rep.Workers = append(rep.Workers, ws)
 	}
-	gids := make([]int32, 0, len(e.managers))
-	for gid := range e.managers {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids {
-		m := e.managers[gid]
-		m.mu.Lock()
-		members := append([]int32(nil), m.members...)
-		pending := m.pendingVersion != 0
-		m.mu.Unlock()
-		gs := e.workers[m.desc.key.worker].groups[gid]
+	for _, desc := range e.groupDescs { // ascending group id
+		gid, mgr := desc.id, e.managers[desc.id]
+		mgr.mu.Lock()
+		members := append([]int32(nil), mgr.members...)
+		pending := mgr.pendingVersion != 0
+		mgr.mu.Unlock()
+		gs := e.workers[desc.key.worker].groups[gid]
 		rep.Groups = append(rep.Groups, GroupStatus{
-			Group: gid, Operator: m.desc.key.op, Stream: m.desc.key.stream,
-			SourceWorker: m.desc.key.worker, ActiveVersion: gs.activeVersion(),
+			Group: gid, Operator: desc.key.op, Stream: desc.key.stream,
+			SourceWorker: desc.key.worker, ActiveVersion: gs.activeVersion(),
 			Members: members, SwitchPending: pending,
 		})
 	}
@@ -318,6 +313,16 @@ func (e *Engine) Membership() MembershipReport {
 // aligned epoch is in flight deterministically aborts the rescale — the
 // pre-rescale assignment stays active, never a half-repartitioned topology.
 func (e *Engine) Rescale(op string, newPar int, on ...int32) error {
+	return e.mon.do(func() error { return e.mon.rescale(op, newPar, on) })
+}
+
+// rescale validates, places and arms one parallelism change. Placement is
+// checked here and never again: between this call and the aligned cut a
+// target can neither leave (leave rejects the targets of a pending plan) nor
+// die unnoticed (a confirmed death aborts the pending plan), and all three
+// run on this loop.
+func (m *monitor) rescale(op string, newPar int, on []int32) error {
+	e := m.eng
 	if e.ckpt == nil {
 		return fmt.Errorf("dsps: rescale requires checkpointing (Config.CheckpointInterval)")
 	}
@@ -334,21 +339,21 @@ func (e *Engine) Rescale(op string, newPar int, on ...int32) error {
 		// selected, silently starving them.
 		return fmt.Errorf("dsps: fields-grouped operator %q cannot exceed parallelism %d (NumSlots)", op, NumSlots)
 	}
-	tv := e.tv()
-	oldPar := len(tv.assign.TasksOf[op])
+	assign := e.tv().assign
+	oldPar := len(assign.TasksOf[op])
 	if newPar == oldPar {
 		return fmt.Errorf("dsps: %q already at parallelism %d", op, newPar)
 	}
 	var placeOn []int32
 	if newPar > oldPar {
 		var err error
-		if placeOn, err = e.pickPlacement(tv.assign, op, newPar-oldPar, on); err != nil {
+		if placeOn, err = e.pickPlacement(assign, op, newPar-oldPar, on); err != nil {
 			return err
 		}
 	} else if len(on) > 0 {
 		return fmt.Errorf("dsps: placement targets are only meaningful when growing")
 	}
-	next, err := tv.assign.Rescaled(op, newPar, placeOn)
+	next, err := assign.Rescaled(op, newPar, placeOn)
 	if err != nil {
 		return err
 	}

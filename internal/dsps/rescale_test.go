@@ -716,8 +716,10 @@ func TestStaleJoinRetryCannotReadmit(t *testing.T) {
 	if err := eng.LeaveWorker(2); err != nil {
 		t.Fatal(err)
 	}
-	// Replay the admission a stale CtrlJoin retry would trigger.
-	eng.admitPendingWorker(2)
+	// Replay a stale CtrlJoin retry; the empty request behind it returns once
+	// the loop has handled it.
+	eng.mon.post(ctrlJoin{node: 2, attempt: joinAttempts})
+	eng.mon.ask(func() {})
 	if eng.joinedWorker(2) {
 		t.Fatal("stale join retry re-admitted a departed worker")
 	}
@@ -741,49 +743,6 @@ func TestLeaveWorkerRejectedWhileRescaleTargetsIt(t *testing.T) {
 	}
 	if err := eng.LeaveWorker(2); err == nil {
 		t.Fatal("placement target of a pending rescale allowed to leave")
-	}
-}
-
-// TestRescaleAbortsWhenTargetUnjoinsBeforeCut closes the same TOCTOU from
-// the apply side: if the target nevertheless stops being joined between the
-// request and the aligned cut (the leave-side guard races), the apply must
-// re-validate and abort the plan rather than install tasks on an unjoined
-// worker.
-func TestRescaleAbortsWhenTargetUnjoinsBeforeCut(t *testing.T) {
-	// An hour-long interval keeps the coordinator's own ticker silent; the
-	// test drives tick() by hand so the unjoin below is guaranteed to land
-	// before the aligned epoch begins — with a real interval the first
-	// epoch can commit (and the plan apply) before this goroutine runs.
-	eng := rescaleTargetEngine(t, time.Hour)
-	defer eng.Stop()
-	if err := eng.JoinWorker(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Rescale("sink", 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the race LeaveWorker's guard cannot fully close: the target
-	// drops out of the membership before the aligned epoch commits.
-	eng.joined[2].Store(false)
-
-	deadline := time.Now().Add(15 * time.Second)
-	for countEvents(eng, obs.EventRescaleAborted) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for rescale-aborted (have %d)", countEvents(eng, obs.EventRescaleAborted))
-		}
-		eng.ckpt.tick() // begin the epoch / re-inject its triggers
-		time.Sleep(time.Millisecond)
-	}
-	if n := countEvents(eng, obs.EventRescaleCommitted); n != 0 {
-		t.Fatalf("aborted rescale also committed (%d events)", n)
-	}
-	for _, op := range eng.Membership().Operators {
-		if op.Operator == "sink" && op.Parallelism != 1 {
-			t.Fatalf("half-applied rescale visible: %+v", op)
-		}
-	}
-	if eng.ckpt.rescalePending() {
-		t.Fatal("aborted plan still pending")
 	}
 }
 

@@ -92,11 +92,11 @@ func (g *groupState) activate(version int32) {
 	g.mu.Unlock()
 }
 
-// inboundData is one raw data message staged for the delivery goroutine
-// (flow-controlled mode only). Transports hand the handler ownership of the
-// payload, so staging the raw bytes is safe without a copy; decoding is
-// deferred to the delivery goroutine, which owns a single reusable
-// WorkerMessage scratch instead of allocating one per message.
+// inboundData is one raw data message staged for the delivery goroutine.
+// Transports hand the handler ownership of the payload, so staging the raw
+// bytes is safe without a copy; decoding is deferred to the delivery
+// goroutine, which owns a single reusable WorkerMessage scratch instead of
+// allocating one per message.
 type inboundData struct {
 	from int32
 	raw  []byte // the full encoded message, also forwarded verbatim by relays
@@ -109,9 +109,9 @@ type worker struct {
 	eng *Engine
 	tr  transport.Transport
 	// execs is the task->executor map behind an atomic pointer: read on
-	// every local delivery, written only at Start (single-threaded) and
-	// under the checkpoint coordinator's lock when a rescale adds
-	// executors — clone-on-write, so readers never see a partial map.
+	// every local delivery, written only at Start (single-threaded) and by
+	// the monitor loop when a rescale adds executors — clone-on-write, so
+	// readers never see a partial map.
 	execs    atomic.Pointer[map[int32]*executor]
 	transfer chan sendJob
 	groups   map[int32]*groupState
@@ -138,8 +138,7 @@ type worker struct {
 	execQueueWaitNS atomic.Int64
 	replayNS        atomic.Int64
 
-	// Staged inbound data messages (flow-controlled mode): the transport
-	// handler appends, the delivery goroutine drains. Guarded by stageMu;
+	// Staged inbound data messages: the transport handler appends, the delivery goroutine drains. Guarded by stageMu;
 	// stageKick is the cap-1 wakeup.
 	stageMu   sync.Mutex
 	staged    []inboundData
@@ -154,13 +153,12 @@ func newWorker(eng *Engine, id int32) *worker {
 		groups:   map[int32]*groupState{},
 		enc:      tuple.NewEncoder(),
 		done:     make(chan struct{}),
+
+		stageKick: make(chan struct{}, 1),
 	}
 	w.execs.Store(&map[int32]*executor{})
 	w.rngState.Store(uint64(id)*104729 + 7)
-	if eng.cfg.CreditWindow > 0 && eng.cfg.MaxWorkers > 1 {
-		w.fc = newFlowControl(w)
-		w.stageKick = make(chan struct{}, 1)
-	}
+	w.fc = newFlowControl(w)
 	return w
 }
 
@@ -169,7 +167,7 @@ func newWorker(eng *Engine, id int32) *worker {
 func (w *worker) execMap() map[int32]*executor { return *w.execs.Load() }
 
 // addExecutor publishes ex via clone-on-write. Only called from Start and
-// from the rescale apply (serialized by the coordinator lock).
+// from the rescale apply (on the monitor loop).
 func (w *worker) addExecutor(ex *executor) {
 	old := *w.execs.Load()
 	next := make(map[int32]*executor, len(old)+1)
@@ -180,24 +178,16 @@ func (w *worker) addExecutor(ex *executor) {
 	w.execs.Store(&next)
 }
 
-// sendData routes one encoded data message to dst through flow control
-// when enabled, or straight to the retrying transport path otherwise. The
-// flow-controlled path always reports true: delivery becomes asynchronous.
+// sendData queues one encoded data message on the flow link toward dst;
+// delivery is asynchronous from here.
 //
 // sb is the pooled buffer backing raw (nil when raw is not pooled, e.g.
-// relayed inbound bytes); sendData consumes exactly one reference to it on
-// every path — synchronously here once the transport has copied the
-// payload, or downstream in the flow link once the item leaves the queue.
+// relayed inbound bytes); sendData consumes exactly one reference to it —
+// downstream in the flow link once the item leaves the queue.
 //
 //whale:owns sb
-func (w *worker) sendData(dst int32, raw []byte, sb *sendBuf, cost, tuples int64, tracked bool) bool {
-	if w.fc != nil {
-		w.fc.push(dst, flowItem{raw: raw, buf: sb, cost: cost, tuples: tuples, tracked: tracked})
-		return true
-	}
-	ok := w.send(dst, raw)
-	sb.release()
-	return ok
+func (w *worker) sendData(dst int32, raw []byte, sb *sendBuf, cost, tuples int64, tracked bool) {
+	w.fc.push(dst, flowItem{raw: raw, buf: sb, cost: cost, tuples: tuples, tracked: tracked})
 }
 
 // grantData credits n delivery units back to the upstream sender src. Local
@@ -205,7 +195,7 @@ func (w *worker) sendData(dst int32, raw []byte, sb *sendBuf, cost, tuples int64
 //
 //whale:grants
 func (w *worker) grantData(src int32, n int64) {
-	if w.fc == nil || n <= 0 || src < 0 || int(src) >= len(w.eng.workers) {
+	if n <= 0 || src < 0 || int(src) >= len(w.eng.workers) {
 		return
 	}
 	w.fc.grant(src, n)
@@ -231,13 +221,12 @@ func (w *worker) enqueueLocal(dst int32, tp *tuple.Tuple) {
 // cyclic worker graphs: an executor can block mid-Execute on its own
 // credit-starved downstream emit, and drain-time grants then let two
 // mutually-loaded workers starve each other into timeout-paced stalls.
-// In flow-controlled mode a full input queue parks the tuple on the
-// executor's admission overflow instead of blocking: the delivery loop
-// must keep moving so one slow executor only starves its own senders
-// (grants for its tuples stall at the feeder) while siblings on the same
-// worker keep receiving and granting. It reports whether the tuple entered
-// an executor queue — a missing executor means the unit must be granted
-// back by the caller instead.
+// A full input queue parks the tuple on the executor's admission overflow
+// instead of blocking: the delivery loop must keep moving so one slow
+// executor only starves its own senders (grants for its tuples stall at the
+// feeder) while siblings on the same worker keep receiving and granting.
+// It reports whether the tuple entered an executor queue — a missing
+// executor means the unit must be granted back by the caller instead.
 //
 //whale:grants
 func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) bool {
@@ -247,34 +236,27 @@ func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) bool {
 		return false
 	}
 	at := tuple.AddressedTuple{TaskID: dst, Src: from, Data: tp}
-	if w.fc != nil {
-		ex.ovMu.Lock()
-		if len(ex.overflow) == 0 {
-			select {
-			case ex.in <- at:
-				ex.ovMu.Unlock()
-				w.grantData(from, 1)
-				return true
-			default:
-			}
+	ex.ovMu.Lock()
+	if len(ex.overflow) == 0 {
+		select {
+		case ex.in <- at:
+			ex.ovMu.Unlock()
+			w.grantData(from, 1)
+			return true
+		default:
 		}
-		// Parked: stamp traced tuples so the feeder can attribute the
-		// overflow residency as an executor-queue-wait stall (sampled —
-		// untraced tuples carry a zero stamp and pay no clock read).
-		var stamp int64
-		if tp.TraceID != 0 {
-			stamp = time.Now().UnixNano()
-		}
-		ex.overflow = append(ex.overflow, at)
-		ex.ovStampNS = append(ex.ovStampNS, stamp)
-		ex.ovMu.Unlock()
-		signal(ex.ovKick)
-		return true
 	}
-	select {
-	case ex.in <- at:
-	case <-w.done:
+	// Parked: stamp traced tuples so the feeder can attribute the overflow
+	// residency as an executor-queue-wait stall (sampled — untraced tuples
+	// carry a zero stamp and pay no clock read).
+	var stamp int64
+	if tp.TraceID != 0 {
+		stamp = time.Now().UnixNano()
 	}
+	ex.overflow = append(ex.overflow, at)
+	ex.ovStampNS = append(ex.ovStampNS, stamp)
+	ex.ovMu.Unlock()
+	signal(ex.ovKick)
 	return true
 }
 
@@ -284,6 +266,19 @@ func (w *worker) enqueueSend(j sendJob) {
 	select {
 	case w.transfer <- j:
 	case <-w.done:
+	}
+}
+
+// sendControl encodes one control frame and queues it on the transfer queue
+// toward each listed worker, behind whatever this worker already has to
+// send.
+func (w *worker) sendControl(cm *tuple.ControlMessage, to ...int32) {
+	raw := tuple.AppendWorkerMessage(nil, &tuple.WorkerMessage{
+		Kind:    tuple.KindControl,
+		Payload: tuple.AppendControlMessage(nil, cm),
+	})
+	for _, dst := range to {
+		w.enqueueSend(sendJob{kind: jobControl, dstWorker: dst, raw: raw})
 	}
 }
 
@@ -379,9 +374,7 @@ func (w *worker) process(j sendJob) {
 		t1 := time.Now()
 		sb := acquireSendBuf()
 		sb.b = tuple.AppendWorkerMessage(sb.b[:0], &msg)
-		if !w.sendData(j.dstWorker, sb.b, sb, 1, 1, tupleTracked(j.tp)) {
-			return
-		}
+		w.sendData(j.dstWorker, sb.b, sb, 1, 1, tupleTracked(j.tp))
 		w.eng.obs.Tracer.Record(j.tp.TraceID, obs.StageRDMASlice, w.id, t1, time.Since(t1))
 		w.recordTe(j.tp.SrcTask, time.Since(t0)-time.Duration(w.pushBlockedNS))
 
@@ -407,9 +400,7 @@ func (w *worker) process(j sendJob) {
 			}
 			sb := acquireSendBuf()
 			sb.b = tuple.AppendWorkerMessage(sb.b[:0], &msg)
-			if !w.sendData(dw, sb.b, sb, cost, n, tupleTracked(j.tp)) {
-				continue
-			}
+			w.sendData(dw, sb.b, sb, cost, n, tupleTracked(j.tp))
 			w.eng.obs.Tracer.Record(j.tp.TraceID, obs.StageRDMASlice, w.id, t0, time.Since(t0))
 			w.recordTe(j.tp.SrcTask, time.Since(t0)-time.Duration(w.pushBlockedNS))
 		}
@@ -446,9 +437,7 @@ func (w *worker) process(j sendJob) {
 		for _, child := range children {
 			w.pushBlockedNS = 0
 			t0 := time.Now()
-			if !w.sendData(child, sb.b, sb, w.multicastCost(j.group, child), int64(len(w.eng.groupLocalTasks(j.group, child))), tupleTracked(j.tp)) {
-				continue
-			}
+			w.sendData(child, sb.b, sb, w.multicastCost(j.group, child), int64(len(w.eng.groupLocalTasks(j.group, child))), tupleTracked(j.tp))
 			// Source hop: depth 0, fan-out = this worker's child count.
 			w.eng.obs.Tracer.RecordHop(j.tp.TraceID, obs.StageRDMASlice, w.id,
 				child, version, 0, int32(len(children)), t0, time.Since(t0))
@@ -578,70 +567,49 @@ func (w *worker) recordTe(srcTask int32, d time.Duration) {
 
 // dispatch is the transport inbound handler: Whale's dispatcher component.
 //
-// Without flow control it delivers data inline (the seed behavior). With
-// flow control on, data messages are staged to a worker-local queue drained
-// by a dedicated delivery goroutine while control messages keep being
-// handled inline — crucially including CtrlCredit grants. With a single
-// serial inbound handler, a grant queued behind data wedges the whole
-// worker: the delivery path can block on a full executor queue whose bolt
-// is itself blocked emitting on a credit-starved link, and the grant that
-// would reopen that link then sits unprocessed behind the data in front of
-// it — a distributed cycle broken only by the credit timeout. Handling
-// control inline makes grant processing independent of data-path progress.
-// The staged queue is unbounded but its occupancy is bounded by the credit
-// protocol itself: no sender can have more than a window of units in
-// flight, so staging holds at most the sum of the incoming links' windows.
+// Data messages are staged to a worker-local queue drained by a dedicated
+// delivery goroutine while control messages are handled inline — crucially
+// including CtrlCredit grants. With a single serial inbound handler, a grant
+// queued behind data wedges the whole worker: the delivery path can block
+// on a full executor queue whose bolt is itself blocked emitting on a
+// credit-starved link, and the grant that would reopen that link then sits
+// unprocessed behind the data in front of it — a distributed cycle broken
+// only by the credit timeout. Handling control inline makes grant
+// processing independent of data-path progress. The staged queue is
+// unbounded but its occupancy is bounded by the credit protocol itself: no
+// sender can have more than a window of units in flight, so staging holds
+// at most the sum of the incoming links' windows.
 func (w *worker) dispatch(from transport.WorkerID, payload []byte) {
 	// Any inbound message is liveness evidence; explicit heartbeats only
 	// matter on otherwise-idle links.
 	if fd := w.eng.detector; fd != nil && w.id == fd.monitor {
 		fd.observe(from)
 	}
-	if w.fc != nil {
-		// Peek the kind byte instead of decoding: control stays inline, data
-		// is staged raw and decoded by the delivery goroutine's scratch.
-		if tuple.MessageKind(payload) == tuple.KindControl {
-			msg, _, err := tuple.DecodeWorkerMessage(payload)
-			if err != nil {
-				w.eng.metrics.DecodeErrors.Inc()
-				return
-			}
-			cm, _, err := tuple.DecodeControlMessage(msg.Payload)
-			if err != nil {
-				w.eng.metrics.DecodeErrors.Inc()
-				return
-			}
-			w.handleControl(from, cm)
+	// Peek the kind byte instead of decoding: control stays inline, data is
+	// staged raw and decoded by the delivery goroutine's scratch.
+	if tuple.MessageKind(payload) == tuple.KindControl {
+		msg, _, err := tuple.DecodeWorkerMessage(payload)
+		if err != nil {
+			w.eng.metrics.DecodeErrors.Inc()
 			return
 		}
-		w.stageMu.Lock()
-		w.staged = append(w.staged, inboundData{from: int32(from), raw: payload})
-		w.stageMu.Unlock()
-		signal(w.stageKick)
+		cm, _, err := tuple.DecodeControlMessage(msg.Payload)
+		if err != nil {
+			w.eng.metrics.DecodeErrors.Inc()
+			return
+		}
+		w.handleControl(from, cm)
 		return
 	}
-	// Inline delivery can run concurrently (one handler invocation per
-	// inbound link), so the decode scratch comes from a pool rather than a
-	// single worker-owned struct.
-	m := wmsgPool.Get().(*tuple.WorkerMessage)
-	if _, err := tuple.DecodeWorkerMessageInto(m, payload); err != nil {
-		w.eng.metrics.DecodeErrors.Inc()
-	} else {
-		w.deliverData(from, m, payload)
-	}
-	m.Payload = nil // drop the payload reference before pooling
-	wmsgPool.Put(m)
+	w.stageMu.Lock()
+	w.staged = append(w.staged, inboundData{from: int32(from), raw: payload})
+	w.stageMu.Unlock()
+	signal(w.stageKick)
 }
 
-// wmsgPool recycles WorkerMessage decode scratch for the inline dispatch
-// path. deliverData never retains the message struct (only the payload
-// bytes, which it does not own), so pooling after delivery is safe.
-var wmsgPool = sync.Pool{New: func() any { return new(tuple.WorkerMessage) }}
-
-// deliverLoop drains the staged inbound data queue in arrival order. Only
-// runs in flow-controlled mode; it may block on executor admission or a
-// full transfer queue — that blocking is the backpressure signal (grants
-// are withheld), and it never delays control-message processing.
+// deliverLoop drains the staged inbound data queue in arrival order. It may
+// block on a full transfer queue — that blocking is the backpressure signal
+// (grants are withheld), and it never delays control-message processing.
 func (w *worker) deliverLoop() {
 	defer w.wg.Done()
 	// Single-goroutine decode scratch: DstIDs capacity is reused across
@@ -673,9 +641,6 @@ func (w *worker) deliverLoop() {
 // stagedLen reports the number of staged inbound data messages (drain
 // accounting).
 func (w *worker) stagedLen() int {
-	if w.fc == nil {
-		return 0
-	}
 	w.stageMu.Lock()
 	defer w.stageMu.Unlock()
 	return len(w.staged)
@@ -775,15 +740,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
 			src, msg.TreeVersion, hopDepth, 0, t1, time.Since(t1))
 
-	case tuple.KindControl:
-		cm, _, err := tuple.DecodeControlMessage(msg.Payload)
-		if err != nil {
-			w.eng.metrics.DecodeErrors.Inc()
-			return
-		}
-		w.handleControl(from, cm)
-
-	default:
+	default: // control never reaches here: dispatch handles it inline
 		w.eng.metrics.DecodeErrors.Inc()
 	}
 }
@@ -805,12 +762,7 @@ func (w *worker) handleControl(from transport.WorkerID, cm *tuple.ControlMessage
 		gs.install(cm.Version, tr)
 		gs.activate(cm.Version)
 		// ACK back to the source worker.
-		ack := tuple.ControlMessage{Type: tuple.CtrlAck, Group: cm.Group, Version: cm.Version, Node: w.id}
-		raw := tuple.AppendWorkerMessage(nil, &tuple.WorkerMessage{
-			Kind:    tuple.KindControl,
-			Payload: tuple.AppendControlMessage(nil, &ack),
-		})
-		w.enqueueSend(sendJob{kind: jobControl, dstWorker: from, raw: raw})
+		w.sendControl(&tuple.ControlMessage{Type: tuple.CtrlAck, Group: cm.Group, Version: cm.Version, Node: w.id}, int32(from))
 
 	case tuple.CtrlAck:
 		if mgr := w.eng.managers[cm.Group]; mgr != nil {
@@ -818,35 +770,22 @@ func (w *worker) handleControl(from transport.WorkerID, cm *tuple.ControlMessage
 		}
 
 	case tuple.CtrlCredit:
-		if w.fc != nil {
-			w.fc.onGrant(int32(from), cm.Credits)
-		}
+		w.fc.onGrant(int32(from), cm.Credits)
 
+	// The three frames below are events for the monitor loop: posting
+	// never blocks this dispatch goroutine, whatever the loop is doing.
 	case tuple.CtrlSnapAck:
-		if cc := w.eng.ckpt; cc != nil {
-			cc.handleAck(cm.Direction, cm.Node, cm.Epoch)
+		if w.eng.ckpt != nil {
+			w.eng.mon.post(snapAck{dir: cm.Direction, task: cm.Node, epoch: cm.Epoch})
 		}
 
 	case tuple.CtrlJoin:
-		// Monitor-side admission. Idempotent: admission flips the membership
-		// bit at most once, but every CtrlJoin re-replies CtrlWelcome so a
-		// lost or reordered welcome is healed by the joiner's next retry.
 		if fd := w.eng.detector; fd != nil && w.id == fd.monitor {
-			// Admit only while the joiner still awaits its welcome: a stale
-			// retry processed after the handshake completed must not
-			// re-admit a worker that meanwhile left — its heartbeats are
-			// stopped, so the sweep would confirm the "member" dead.
-			w.eng.admitPendingWorker(cm.Node)
-			welcome := tuple.ControlMessage{Type: tuple.CtrlWelcome, Node: cm.Node, Version: cm.Version}
-			enc := tuple.AcquireEncoder()
-			raw := append([]byte(nil), enc.EncodeControlEnvelope(&welcome)...)
-			tuple.ReleaseEncoder(enc)
-			w.enqueueSend(sendJob{kind: jobControl, dstWorker: cm.Node, raw: raw})
+			w.eng.mon.post(ctrlJoin{node: cm.Node, attempt: cm.Version})
 		}
 
 	case tuple.CtrlWelcome:
-		// Joiner-side handshake completion; duplicates are no-ops.
-		w.eng.completeJoin(cm.Node)
+		w.eng.mon.post(ctrlWelcome{node: cm.Node})
 
 	case tuple.CtrlHeartbeat:
 		// Liveness was recorded in dispatch; the beacon carries no payload.

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -352,4 +353,86 @@ func TestModeString(t *testing.T) {
 		ModeOneSidedWrite.String() != "one-sided-write" {
 		t.Fatal("mode strings")
 	}
+}
+
+// TestClosedEndpointLeavesFabric: Close takes the endpoint off its fabric,
+// so it can no longer be dialed, and nothing outside the fabric keeps the
+// fabric — with every region registered on it — reachable once its users
+// are gone.
+func TestClosedEndpointLeavesFabric(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		f := NewFabric(CostModel{})
+		cfg := ChannelConfig{Mode: ModeOneSidedRead}
+		ea, err := NewEndpoint(f, "a", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb, err := NewEndpoint(f, "b", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb.OnAccept(func(_ string, ch *Channel) { ch.SetHandler(func([]byte) {}) })
+		send, err := ea.Dial("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The ring region's bytes stand for the fabric's memory: pointer-free,
+		// so (unlike the fabric, whose devices point back at it) a finalizer
+		// on them runs as soon as nothing reaches the fabric any more.
+		runtime.SetFinalizer(&send.ring.mr.buf[0], func(*byte) { close(collected) })
+		if err := eb.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ea.Dial("b"); err == nil {
+			t.Fatal("dialed an endpoint after its Close")
+		}
+		if err := ea.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	deadline := time.After(10 * time.Second)
+	for {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-deadline:
+			t.Fatal("ring region still reachable after both endpoints closed")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
+// TestRingOccupancyConcurrentWithAppend reads a channel's ring pressure
+// while another goroutine sends through it (run under -race: the pressure
+// reader and the flusher share the ring's cursors).
+func TestRingOccupancyConcurrentWithAppend(t *testing.T) {
+	send, recvd := dialPair(t, ChannelConfig{Mode: ModeOneSidedRead, MMS: 64, WTL: time.Millisecond})
+	const n = 500
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if send.RingOccupancy() < 0 || send.PressurePct() > 100 {
+					t.Error("ring occupancy out of range")
+					return
+				}
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if err := send.Send([]byte(fmt.Sprintf("msg-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, n, recvd)
+	close(stop)
+	wg.Wait()
 }

@@ -20,30 +20,6 @@ type Endpoint struct {
 	closed   bool
 }
 
-// endpoint registry lives on the fabric.
-var endpointRegistry sync.Map // map[*Fabric]map[string]*Endpoint
-
-func registerEndpoint(f *Fabric, name string, e *Endpoint) error {
-	v, _ := endpointRegistry.LoadOrStore(f, &sync.Map{})
-	m := v.(*sync.Map)
-	if _, dup := m.LoadOrStore(name, e); dup {
-		return fmt.Errorf("rdma: endpoint %q already registered", name)
-	}
-	return nil
-}
-
-func lookupEndpoint(f *Fabric, name string) (*Endpoint, bool) {
-	v, ok := endpointRegistry.Load(f)
-	if !ok {
-		return nil, false
-	}
-	e, ok := v.(*sync.Map).Load(name)
-	if !ok {
-		return nil, false
-	}
-	return e.(*Endpoint), true
-}
-
 // NewEndpoint creates a device named name on the fabric and an endpoint
 // managing channels for it.
 func NewEndpoint(f *Fabric, name string, cfg ChannelConfig) (*Endpoint, error) {
@@ -52,9 +28,11 @@ func NewEndpoint(f *Fabric, name string, cfg ChannelConfig) (*Endpoint, error) {
 		return nil, err
 	}
 	e := &Endpoint{fabric: f, dev: dev, pd: dev.AllocPD(), cfg: cfg.withDefaults()}
-	if err := registerEndpoint(f, name, e); err != nil {
-		return nil, err
-	}
+	// The device name was just claimed on the fabric, so the endpoint name
+	// (the same string) is free too.
+	f.mu.Lock()
+	f.endpoints[name] = e
+	f.mu.Unlock()
 	return e, nil
 }
 
@@ -77,7 +55,9 @@ func (e *Endpoint) OnAccept(fn func(remote string, ch *Channel)) {
 // using the endpoint's configured mode, returning the send side. The remote
 // endpoint's accept hook receives the receive side.
 func (e *Endpoint) Dial(remote string) (*Channel, error) {
-	re, ok := lookupEndpoint(e.fabric, remote)
+	e.fabric.mu.Lock()
+	re, ok := e.fabric.endpoints[remote]
+	e.fabric.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("rdma: no endpoint %q on fabric", remote)
 	}
@@ -203,9 +183,15 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 	return send, nil
 }
 
-// Close closes every channel the endpoint dialed or accepted and returns
-// the first close error.
+// Close takes the endpoint off the fabric (it can no longer be dialed),
+// closes every channel it dialed or accepted and returns the first close
+// error.
 func (e *Endpoint) Close() error {
+	e.fabric.mu.Lock()
+	if e.fabric.endpoints[e.Name()] == e {
+		delete(e.fabric.endpoints, e.Name())
+	}
+	e.fabric.mu.Unlock()
 	e.mu.Lock()
 	chans := e.channels
 	e.channels = nil

@@ -62,14 +62,15 @@ func (c CostModel) transferDelay(bytes int) time.Duration {
 // Fabric is the emulated RDMA network: a registry of devices that can reach
 // each other. One Fabric stands for one InfiniBand subnet.
 type Fabric struct {
-	mu      sync.Mutex
-	devices map[string]*Device
-	cost    CostModel
+	mu        sync.Mutex
+	devices   map[string]*Device
+	endpoints map[string]*Endpoint // connection managers by device name
+	cost      CostModel
 }
 
 // NewFabric creates an empty fabric with the given cost model.
 func NewFabric(cost CostModel) *Fabric {
-	return &Fabric{devices: map[string]*Device{}, cost: cost}
+	return &Fabric{devices: map[string]*Device{}, endpoints: map[string]*Endpoint{}, cost: cost}
 }
 
 // NewDevice registers a new RNIC on the fabric under a unique name

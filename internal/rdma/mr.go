@@ -22,15 +22,25 @@ const (
 // through ReadAt/WriteAt, which lock the region. This serialises "DMA" with
 // application access — a stricter memory model than hardware, never a
 // weaker one, so protocols that are correct here are correct on hardware.
+//
+// The bytes are backed lazily: buf covers the prefix of the region written
+// so far and everything past it reads as zero. A 4 MiB ring is registered
+// per connection, a cold start moves a few hundred kilobytes through it,
+// and zeroing memory the connection has not reached yet was most of what
+// dialing cost.
 type MR struct {
 	pd     *PD
 	lkey   uint32
 	rkey   uint32
 	access Access
+	size   int
 
 	mu  sync.Mutex
-	buf []byte
+	buf []byte // the written prefix, grown by doubling up to size
 }
+
+// mrMinBacking is the smallest backing allocation.
+const mrMinBacking = 64 << 10
 
 // RegisterMemory registers length bytes under the protection domain and
 // returns the MR. It corresponds to ibv_reg_mr; Whale registers one large
@@ -52,7 +62,7 @@ func RegisterMemory(pd *PD, length int, access Access) (*MR, error) {
 		lkey:   d.nextKey,
 		rkey:   d.nextKey,
 		access: access,
-		buf:    make([]byte, length),
+		size:   length,
 	}
 	d.mrs[mr.rkey] = mr
 	return mr, nil
@@ -74,26 +84,36 @@ func (m *MR) LKey() uint32 { return m.lkey }
 func (m *MR) RKey() uint32 { return m.rkey }
 
 // Len returns the region's size in bytes.
-func (m *MR) Len() int { return len(m.buf) }
+func (m *MR) Len() int { return m.size }
 
 // ReadAt copies from the region into p, returning an error on out-of-bounds
 // access (the emulated equivalent of a local protection fault).
 func (m *MR) ReadAt(p []byte, off int) error {
-	if off < 0 || off+len(p) > len(m.buf) {
-		return fmt.Errorf("rdma: MR read [%d,%d) out of bounds (len %d)", off, off+len(p), len(m.buf))
+	if off < 0 || off+len(p) > m.size {
+		return fmt.Errorf("rdma: MR read [%d,%d) out of bounds (len %d)", off, off+len(p), m.size)
 	}
+	n := 0
 	m.mu.Lock()
-	copy(p, m.buf[off:])
+	if off < len(m.buf) {
+		n = copy(p, m.buf[off:])
+	}
 	m.mu.Unlock()
+	clear(p[n:])
 	return nil
 }
 
 // WriteAt copies p into the region at off.
 func (m *MR) WriteAt(p []byte, off int) error {
-	if off < 0 || off+len(p) > len(m.buf) {
-		return fmt.Errorf("rdma: MR write [%d,%d) out of bounds (len %d)", off, off+len(p), len(m.buf))
+	if off < 0 || off+len(p) > m.size {
+		return fmt.Errorf("rdma: MR write [%d,%d) out of bounds (len %d)", off, off+len(p), m.size)
 	}
 	m.mu.Lock()
+	if end := off + len(p); end > len(m.buf) {
+		n := max(end, 2*len(m.buf), mrMinBacking)
+		grown := make([]byte, min(n, m.size))
+		copy(grown, m.buf)
+		m.buf = grown
+	}
 	copy(m.buf[off:], p)
 	m.mu.Unlock()
 	return nil

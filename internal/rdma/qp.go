@@ -124,13 +124,41 @@ func (c *CQ) Poll(max int) []WC {
 	return out
 }
 
+// waitTimers recycles the timeout timers of CQ.Wait. Ring polls call Wait
+// several times per poll interval with a ten-second bound that almost never
+// fires; a time.After per call leaves each of those timers live until it
+// expires.
+var waitTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
+
 // Wait blocks until one completion arrives or the timeout elapses; ok is
-// false on timeout.
+// false on timeout. A completion that is already there is returned without
+// arming a timer.
 func (c *CQ) Wait(timeout time.Duration) (WC, bool) {
 	select {
 	case wc := <-c.ch:
 		return wc, true
-	case <-time.After(timeout):
+	default:
+	}
+	t := waitTimers.Get().(*time.Timer)
+	t.Reset(timeout)
+	select {
+	case wc := <-c.ch:
+		if !t.Stop() {
+			// Fired while the completion arrived: drain, so the pooled timer
+			// comes back with an empty channel.
+			select {
+			case <-t.C:
+			default:
+			}
+		}
+		waitTimers.Put(t)
+		return wc, true
+	case <-t.C:
+		waitTimers.Put(t)
 		return WC{}, false
 	}
 }

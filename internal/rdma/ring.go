@@ -3,6 +3,7 @@ package rdma
 import (
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 )
 
 // Ring layout constants: the first 16 bytes of the region are control words
@@ -28,8 +29,11 @@ var ErrRingFull = fmt.Errorf("rdma: ring full")
 type Ring struct {
 	mr   *MR
 	size int // data area size
-	head uint64
-	tail uint64 // producer's cached view; authoritative value is in the MR
+	// head and tail are atomics: the producer (Append, serialised by the
+	// owning channel's flush semaphore) advances them while Occupancy is
+	// read from whichever goroutine asks for the channel's pressure.
+	head atomic.Uint64
+	tail atomic.Uint64 // producer's cached view; authoritative value is in the MR
 }
 
 // NewRing wraps an MR as a ring. The MR must be at least 64 bytes.
@@ -58,19 +62,24 @@ func (r *Ring) refreshTail() error {
 	if err := r.mr.ReadAt(b[:], ringTailOff); err != nil {
 		return err
 	}
-	r.tail = binary.LittleEndian.Uint64(b[:])
+	r.tail.Store(binary.LittleEndian.Uint64(b[:]))
 	return nil
 }
 
 // Occupancy returns the bytes currently published but not yet known to be
 // consumed, from the producer's cached view of the tail (an upper bound:
-// the consumer may have advanced further). Callers must serialise with the
-// producer (the owning channel holds its send lock).
+// the consumer may have advanced further). Safe to call concurrently with
+// the producer.
 func (r *Ring) Occupancy() int {
 	// A failed refresh leaves the cached tail, which is still a valid
-	// upper bound on occupancy.
+	// upper bound on occupancy. Head is read first: the tail only grows
+	// towards it, so the difference never goes negative.
+	head := r.head.Load()
 	_ = r.refreshTail()
-	return int(r.head - r.tail)
+	if tail := r.tail.Load(); tail < head {
+		return int(head - tail)
+	}
+	return 0
 }
 
 // Free returns the bytes currently available for appending.
@@ -78,7 +87,7 @@ func (r *Ring) Free() (int, error) {
 	if err := r.refreshTail(); err != nil {
 		return 0, err
 	}
-	return r.size - int(r.head-r.tail), nil
+	return r.size - int(r.head.Load()-r.tail.Load()), nil
 }
 
 // Append writes one length-prefixed frame into the ring and publishes it by
@@ -101,15 +110,17 @@ func (r *Ring) Append(frame []byte) error {
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
-	if err := r.writeWrapped(r.head, hdr[:]); err != nil {
+	head := r.head.Load()
+	if err := r.writeWrapped(head, hdr[:]); err != nil {
 		return err
 	}
-	if err := r.writeWrapped(r.head+4, frame); err != nil {
+	if err := r.writeWrapped(head+4, frame); err != nil {
 		return err
 	}
-	r.head += uint64(need)
+	head += uint64(need)
+	r.head.Store(head)
 	var hb [8]byte
-	binary.LittleEndian.PutUint64(hb[:], r.head)
+	binary.LittleEndian.PutUint64(hb[:], head)
 	return r.mr.WriteAt(hb[:], ringHeadOff)
 }
 
@@ -138,22 +149,24 @@ func (r *Ring) LocalConsume(fn func(frame []byte)) (int, error) {
 	}
 	head := binary.LittleEndian.Uint64(hb[:])
 	count := 0
-	for r.tail < head {
+	tail := r.tail.Load()
+	for tail < head {
 		var lb [4]byte
-		if err := r.readWrapped(r.tail, lb[:]); err != nil {
+		if err := r.readWrapped(tail, lb[:]); err != nil {
 			return count, err
 		}
 		n := binary.LittleEndian.Uint32(lb[:])
 		frame := make([]byte, n)
-		if err := r.readWrapped(r.tail+4, frame); err != nil {
+		if err := r.readWrapped(tail+4, frame); err != nil {
 			return count, err
 		}
-		r.tail += uint64(4 + n)
+		tail += uint64(4 + n)
+		r.tail.Store(tail)
 		fn(frame)
 		count++
 	}
 	var tb [8]byte
-	binary.LittleEndian.PutUint64(tb[:], r.tail)
+	binary.LittleEndian.PutUint64(tb[:], tail)
 	if err := r.mr.WriteAt(tb[:], ringTailOff); err != nil {
 		return count, err
 	}

@@ -342,6 +342,35 @@ func TestCQPoll(t *testing.T) {
 	}
 }
 
+// TestCQWaitReadyPathAllocatesNothing: a completion that is already queued
+// must come back without arming a timeout timer, and a wait that does block
+// must leave no timer behind it (the timer is pooled and reused).
+func TestCQWaitReadyPathAllocatesNothing(t *testing.T) {
+	cq := NewCQ(1)
+	ready := testing.AllocsPerRun(200, func() {
+		cq.push(WC{WRID: 1})
+		if _, ok := cq.Wait(rnrWait); !ok {
+			t.Fatal("queued completion not returned")
+		}
+	})
+	if ready != 0 {
+		t.Fatalf("CQ.Wait on a ready completion allocates %.1f objects per call, want 0", ready)
+	}
+	// The blocking path: the completion arrives while Wait is parked.
+	for i := 0; i < 3; i++ {
+		go func() {
+			time.Sleep(time.Millisecond)
+			cq.push(WC{WRID: 2})
+		}()
+		if wc, ok := cq.Wait(rnrWait); !ok || wc.WRID != 2 {
+			t.Fatalf("blocked wait = %+v, %v", wc, ok)
+		}
+	}
+	if _, ok := cq.Wait(time.Millisecond); ok {
+		t.Fatal("empty CQ wait succeeded after timer reuse")
+	}
+}
+
 func TestPostErrorSentinels(t *testing.T) {
 	// Typed sentinels under unchanged message text: retry logic classifies
 	// with errors.Is while logs keep the exact pre-sentinel wording.
