@@ -1,13 +1,18 @@
 # Standard checks for the Whale reproduction. `make check` is what CI (and
-# reviewers) run: vet, whalevet (the project-specific analyzers), build, the
-# full test suite, a full-repo race pass (slow simulation tests skip under
-# -short, keeping the race gate to a few minutes), and the seeded chaos soak.
+# reviewers) run: vet, whalevet (the project-specific analyzers), the
+# internal/dsps lock-count ceiling, build, the full test suite, a full-repo
+# race pass (slow simulation tests skip under -short, keeping the race gate
+# to a few minutes), and the seeded chaos soak.
 
 GO ?= go
 
-.PHONY: check vet whalevet vet-baseline build test race chaos fmt bench perfgate cover cover-gate loc
+# What `make loc` and `make loc-gate` count as a mutex field and a rank tag.
+MUTEX_RE = sync\.(RW)?Mutex
+RANK_RE = //whale:lockrank
 
-check: vet whalevet vet-baseline build test race chaos
+.PHONY: check vet whalevet vet-baseline loc-gate build test race chaos fmt bench perfgate cover cover-gate loc
+
+check: vet whalevet vet-baseline loc-gate build test race chaos
 
 vet:
 	$(GO) vet ./...
@@ -102,8 +107,26 @@ loc:
 	  [ -n "$$f" ] || continue; \
 	  printf '| %-32s | %6d | %7d | %9d | %3d | %7d |\n' $$d \
 	    $$(cat $$f | wc -l) \
-	    $$(cat $$f | grep -cE 'sync\.(RW)?Mutex') \
-	    $$(cat $$f | grep -c '//whale:lockrank') \
+	    $$(cat $$f | grep -cE '$(MUTEX_RE)') \
+	    $$(cat $$f | grep -c '$(RANK_RE)') \
 	    $$(cat $$f | grep -cE '^[[:space:]]*go[[:space:]]') \
 	    $$(cat $$f | grep -c 'time\.NewTicker('); \
+	done
+
+# Concurrency-surface ceiling against the committed LOC_CEILING.txt: fails
+# when internal/dsps (non-test files, counted as `make loc` counts them) has
+# more mutex fields or //whale:lockrank tags than the ceiling. A new lock in
+# that package is a design decision (DESIGN §8, "How state is shared"):
+# raise the ceiling in the PR that argues for it; lower it when one goes.
+loc-gate:
+	@f=$$(find internal/dsps -maxdepth 1 -name '*.go' -not -name '*_test.go'); \
+	for row in 'mutexes $(MUTEX_RE)' 'lockranks $(RANK_RE)'; do \
+	  set -- $$row; \
+	  max=$$(awk -v k=$$1 '$$1==k{print $$2}' LOC_CEILING.txt); \
+	  got=$$(cat $$f | grep -cE "$$2"); \
+	  if [ -z "$$max" ] || [ "$$got" -gt "$$max" ]; then \
+	    echo "loc-gate: internal/dsps has $$got $$1, committed ceiling is $${max:-missing}" >&2; \
+	    exit 1; \
+	  fi; \
+	  echo "loc-gate: ok (internal/dsps $$1 $$got <= ceiling $$max)"; \
 	done

@@ -191,13 +191,6 @@ func (n *Net) Heal(a, b transport.WorkerID) {
 	n.mu.Unlock()
 }
 
-// HealAll removes every partition (crashes stay).
-func (n *Net) HealAll() {
-	n.mu.Lock()
-	n.cut = map[uint64]bool{}
-	n.mu.Unlock()
-}
-
 // blocked reports whether the directed link from->to is severed; callers
 // hold n.mu.
 func (n *Net) blocked(from, to transport.WorkerID) bool {

@@ -115,8 +115,6 @@ type Options struct {
 	MonitorInterval time.Duration
 	// Control tunes the self-adjusting controller thresholds.
 	Control control.Config
-	// Cost adds synthetic latency/bandwidth to the emulated RDMA fabric.
-	Cost rdma.CostModel
 
 	// AckEnabled turns on the Storm-style reliability plane (tracked
 	// spout emissions, acker tasks, at-least-once sources).
@@ -165,10 +163,6 @@ type Options struct {
 	// LinkQueueCap bounds each flow-controlled link's send queue
 	// (default 4096).
 	LinkQueueCap int
-	// HighWaterline / LowWaterline are the link-depth percentages driving
-	// the open→throttled→open transitions (defaults 80 / 30).
-	HighWaterline int
-	LowWaterline  int
 	// ShedPolicy picks what a full link does with best-effort tuples:
 	// block (default), shed newest, or shed oldest. Acked tuples always
 	// block.
@@ -194,10 +188,6 @@ type Options struct {
 	// tuple carries a trace ID and records per-stage span timings
 	// (0 disables tracing).
 	TraceSampleEvery int64
-	// TraceKeep bounds retained full span timelines (default 64).
-	TraceKeep int
-	// EventCap bounds the reconfiguration event ring (default 1024).
-	EventCap int
 }
 
 func (o Options) withDefaults() Options {
@@ -302,7 +292,7 @@ func (s System) network(o Options, scope *obs.Scope) (transport.Network, error) 
 			cfg = basicRDMAConfig(o)
 		}
 		cfg.OnFlush = flushHook(scope)
-		return transport.NewRDMANetwork(o.Cost, cfg), nil
+		return transport.NewRDMANetwork(rdma.CostModel{}, cfg), nil
 	default:
 		return nil, fmt.Errorf("core: unknown transport kind %d", kind)
 	}
@@ -312,11 +302,7 @@ func (s System) network(o Options, scope *obs.Scope) (transport.Network, error) 
 // observability scope) for the system.
 func (s System) EngineConfig(o Options) (dsps.Config, error) {
 	o = o.withDefaults()
-	scope := obs.NewScope(obs.Config{
-		TraceSampleEvery: int(o.TraceSampleEvery),
-		TraceKeep:        o.TraceKeep,
-		EventCap:         o.EventCap,
-	})
+	scope := obs.NewScope(obs.Config{TraceSampleEvery: int(o.TraceSampleEvery)})
 	net, err := s.network(o, scope)
 	if err != nil {
 		return dsps.Config{}, err
@@ -345,8 +331,6 @@ func (s System) EngineConfig(o Options) (dsps.Config, error) {
 		SendRetryBase:      o.SendRetryBase,
 		CreditWindow:       o.CreditWindow,
 		LinkQueueCap:       o.LinkQueueCap,
-		HighWaterline:      o.HighWaterline,
-		LowWaterline:       o.LowWaterline,
 		ShedPolicy:         o.ShedPolicy,
 		PauseAfter:         o.PauseAfter,
 		DegradedAfter:      o.DegradedAfter,

@@ -243,10 +243,6 @@ func (r *router) destinations(stream string, tp *tuple.Tuple) ([]destination, er
 	return out, nil
 }
 
-// hasSubscribers reports whether the stream has any outgoing edge (a tuple
-// emitted on a sink operator's stream goes nowhere).
-func (r *router) hasSubscribers(stream string) bool { return len(r.routes[stream]) > 0 }
-
 // NumSlots is the fixed key-space width for fields grouping. A key maps to
 // a slot (stable across parallelism changes) and the slot maps to a task by
 // slot mod parallelism. State sharded by slot id (snapshot.Sharder) can

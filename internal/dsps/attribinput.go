@@ -45,7 +45,7 @@ func (e *Engine) AttribInput() attrib.Input {
 			s := ex.ops.execNS.Snapshot()
 			busyNS += s.Sum
 			executed += ex.ops.executed.Value()
-			qlen += len(ex.in) + ex.overflowLen()
+			qlen += ex.queueLen()
 		}
 		ws := attrib.WorkerSample{
 			Worker: w.id, Role: attrib.RoleExecutor,

@@ -507,7 +507,7 @@ func (e *Engine) opQueueLen(op string) int {
 	for _, w := range e.workers {
 		for _, ex := range w.execMap() {
 			if ex.ctx.OperatorID == op {
-				n += len(ex.in) + ex.overflowLen()
+				n += ex.queueLen()
 			}
 		}
 	}

@@ -25,7 +25,7 @@ import (
 // replays the parked tuples. When every task has acked, the epoch commits.
 //
 // Interaction with tree switching (§3.4): relays forward multicast messages
-// by the version stamped at the source, and groupState retains the two
+// by the version stamped at the source, and groupTrees retains the two
 // previous versions, so a barrier in flight across an ordinary switch
 // completes on the old tree. A repair (worker death) can prune the stamped
 // version at a relay — the barrier is then dropped rather than

@@ -2,6 +2,8 @@ package dsps
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -135,14 +137,6 @@ type Config struct {
 	// LinkQueueCap bounds each flow-controlled link's send queue
 	// (default 4096).
 	LinkQueueCap int
-	// HighWaterline is the link depth percentage (queue occupancy or
-	// transport pressure) at which an open link becomes throttled
-	// (default 80).
-	HighWaterline int
-	// LowWaterline is the depth percentage at or below which a throttled
-	// or paused link reopens, given available credit (default 30; clamped
-	// below HighWaterline).
-	LowWaterline int
 	// ShedPolicy selects what a full link does with best-effort tuples:
 	// block the producer (default), shed the newest, or shed the oldest.
 	// Acked-stream tuples always block and are never shed.
@@ -239,15 +233,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.LinkQueueCap <= 0 {
 		c.LinkQueueCap = 4096
-	}
-	if c.HighWaterline <= 0 || c.HighWaterline > 100 {
-		c.HighWaterline = 80
-	}
-	if c.LowWaterline <= 0 {
-		c.LowWaterline = 30
-	}
-	if c.LowWaterline >= c.HighWaterline {
-		c.LowWaterline = c.HighWaterline / 2
 	}
 	if c.PauseAfter <= 0 {
 		c.PauseAfter = 150 * time.Millisecond
@@ -380,8 +365,10 @@ type Engine struct {
 	groupIDs   map[groupKey]int32
 	managers   map[int32]*mcManager
 	taskMgr    map[int32]*mcManager
-	opStatsMu  sync.Mutex              //whale:lockrank 13
-	opStats    map[string][]*opMetrics // per-executor shares, merged on read
+	// opStats holds the per-executor metric shares by operator, merged on
+	// read: an immutable map replaced copy-on-write, like worker.execs —
+	// written at Start and by the monitor loop when a rescale adds executors.
+	opStats atomic.Pointer[map[string][]*opMetrics]
 
 	// mon is the monitor loop: the single owner of detector, ckpt and scaler
 	// state (see monitor.go). The data plane reads only dead, joined and view.
@@ -398,8 +385,7 @@ type Engine struct {
 	stopping       chan struct{} // closed first in Stop: aborts backoffs and credit waits
 	stopTick       chan struct{}
 	auxWG          sync.WaitGroup // monitor loop, managers, heartbeats, tickers
-	stopped        bool           // guarded by mu, which guards nothing else
-	mu             sync.Mutex     //whale:lockrank 10
+	stopped        atomic.Bool    // set by the first Stop; later calls return at once
 }
 
 // tv returns the engine's live topology view. Hot path: one atomic load.
@@ -435,13 +421,13 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 		groupIDs:   map[groupKey]int32{},
 		managers:   map[int32]*mcManager{},
 		taskMgr:    map[int32]*mcManager{},
-		opStats:    map[string][]*opMetrics{},
 		stopSpouts: make(chan struct{}),
 		stopping:   make(chan struct{}),
 		stopTick:   make(chan struct{}),
 		dead:       make([]atomic.Bool, cfg.MaxWorkers),
 		joined:     make([]atomic.Bool, cfg.MaxWorkers),
 	}
+	eng.opStats.Store(&map[string][]*opMetrics{})
 	eng.mon = newMonitor(eng)
 	for wid := 0; wid < cfg.Workers; wid++ {
 		eng.joined[wid].Store(true)
@@ -678,8 +664,7 @@ func (e *Engine) buildGroups() error {
 				tr = multicast.BuildNonBlocking(srcWorker, members, dstar)
 			}
 			for _, w := range e.workers {
-				gs := &groupState{trees: map[int32]*multicast.Tree{1: tr}, active: 1}
-				w.groups[gid] = gs
+				w.groups[gid] = newGroupTrees(1, tr)
 			}
 			e.obs.Events.Append(obs.Event{
 				Kind: obs.EventTreeRebuild, Group: gid, Worker: srcWorker,
@@ -770,30 +755,23 @@ func mergedOpStats(shares []*opMetrics) OperatorStats {
 }
 
 // addOpShare registers one executor's metrics share. Called at Start and
-// when a rescale creates executors, concurrently with stats readers.
+// when a rescale creates executors (on the monitor loop), concurrently with
+// stats readers: the map and the operator's share list are copied, never
+// appended to in place.
 func (e *Engine) addOpShare(op string, m *opMetrics) {
-	e.opStatsMu.Lock()
-	e.opStats[op] = append(e.opStats[op], m)
-	e.opStatsMu.Unlock()
+	next := maps.Clone(*e.opStats.Load())
+	next[op] = append(slices.Clip(next[op]), m)
+	e.opStats.Store(&next)
 }
 
-// opShares snapshots one operator's share list for lock-free iteration.
-func (e *Engine) opShares(op string) []*opMetrics {
-	e.opStatsMu.Lock()
-	defer e.opStatsMu.Unlock()
-	return e.opStats[op]
-}
+// opShares returns one operator's current share list.
+func (e *Engine) opShares(op string) []*opMetrics { return (*e.opStats.Load())[op] }
 
 // OperatorStats snapshots per-operator counters (user operators only; the
 // internal acker is excluded). Each executor keeps its own share; the
 // snapshot merges them.
 func (e *Engine) OperatorStats() map[string]OperatorStats {
-	e.opStatsMu.Lock()
-	ops := make(map[string][]*opMetrics, len(e.opStats))
-	for id, shares := range e.opStats {
-		ops[id] = shares
-	}
-	e.opStatsMu.Unlock()
+	ops := *e.opStats.Load()
 	out := make(map[string]OperatorStats, len(ops))
 	for id, shares := range ops {
 		if id == ackerOperatorID {
@@ -854,7 +832,7 @@ func (e *Engine) registerObs() {
 		e.scaler.registerObs()
 	}
 
-	for id := range e.opStats {
+	for id := range *e.opStats.Load() {
 		if id == ackerOperatorID {
 			continue
 		}
@@ -918,10 +896,6 @@ func (e *Engine) TransportSnapshot() transport.Snapshot {
 	return agg
 }
 
-// TransferQueueLen returns the current transfer-queue length of worker w
-// (the paper's monitored queue).
-func (e *Engine) TransferQueueLen(w int32) int { return len(e.workers[w].transfer) }
-
 // ActiveDstar reports the current out-degree cap of the first adaptive
 // multicast group, or 0 if none exists.
 func (e *Engine) ActiveDstar() int {
@@ -971,12 +945,12 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 				empty = false
 				break
 			}
-			if w.stagedLen() > 0 {
+			if w.staged.len() > 0 {
 				empty = false
 				break
 			}
 			for _, ex := range w.execMap() {
-				if len(ex.in) > 0 || ex.overflowLen() > 0 || ex.alignParkedLen() > 0 {
+				if ex.queueLen() > 0 || ex.alignParkedLen() > 0 {
 					empty = false
 					break
 				}
@@ -1004,14 +978,9 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 // within DrainTimeout and a drain that still misses is reported rather
 // than silently ignored.
 func (e *Engine) Stop() {
-	e.mu.Lock()
-	if e.stopped {
-		e.mu.Unlock()
+	if !e.stopped.CompareAndSwap(false, true) {
 		return
 	}
-	e.stopped = true
-	e.mu.Unlock()
-
 	close(e.stopping)
 	e.StopSpouts()
 	if !e.Drain(e.cfg.DrainTimeout) {
@@ -1202,8 +1171,7 @@ func (m *mcManager) maybeSwitch(dec control.Decision, queueLen int) {
 			return
 		}
 	}
-	gs := m.w.groups[m.desc.id]
-	cur, ok := gs.tree(gs.activeVersion())
+	cur, _, ok := m.w.groups[m.desc.id].Load().activeTree()
 	if !ok {
 		return
 	}
@@ -1262,9 +1230,7 @@ func (m *mcManager) distribute(next *multicast.Tree, members []int32, direction 
 		m.eng.obs.Events.Append(ev)
 	}
 	if len(members) == 0 {
-		gs := m.w.groups[m.desc.id]
-		gs.install(version, next)
-		gs.activate(version)
+		m.w.groups[m.desc.id].install(version, next)
 		return
 	}
 	nodes, parents := next.Flatten()
@@ -1292,9 +1258,7 @@ func (m *mcManager) handleAck(version int32, node int32) {
 			return
 		}
 	}
-	gs := m.w.groups[m.desc.id]
-	gs.install(version, m.pendingTree)
-	gs.activate(version)
+	m.w.groups[m.desc.id].install(version, m.pendingTree)
 	m.eng.metrics.SwitchLatency.Observe(time.Since(m.switchStart).Nanoseconds())
 	m.eng.obs.Events.Append(obs.Event{
 		Kind: obs.EventSwitchComplete, Group: m.desc.id, Worker: m.w.id,
@@ -1346,8 +1310,7 @@ func (m *mcManager) applyMembership(newLocal map[int32][]int32, newMembers []int
 	dstar := m.curDstar
 	m.mu.Unlock()
 
-	gs := m.w.groups[m.desc.id]
-	cur, ok := gs.tree(gs.activeVersion())
+	cur, _, ok := m.w.groups[m.desc.id].Load().activeTree()
 	if !ok {
 		return
 	}

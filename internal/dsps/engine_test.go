@@ -8,6 +8,7 @@ import (
 
 	"whale/internal/control"
 	"whale/internal/metrics"
+	"whale/internal/multicast"
 	"whale/internal/obs"
 	"whale/internal/rdma"
 	"whale/internal/transport"
@@ -344,8 +345,79 @@ func TestStopIsIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two Stops racing must both return and tear down exactly once (a second
+	// teardown would close closed channels); so must a Stop after them.
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			eng.Stop()
+		}()
+	}
+	wg.Wait()
 	eng.Stop()
-	eng.Stop() // second stop must not panic or hang
+}
+
+// TestGroupTreesConcurrentInstall: with two writers installing interleaved
+// versions (the dispatch path and the monitor loop), a reader never sees an
+// active version whose tree is missing, and retention is unchanged: the
+// newest version and the two behind it.
+func TestGroupTreesConcurrentInstall(t *testing.T) {
+	const last = 2000
+	tr := multicast.BuildNonBlocking(0, []int32{1, 2, 3}, 2)
+	g := newGroupTrees(1, tr)
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var prev int32
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				got, v, ok := g.Load().activeTree()
+				if !ok || got == nil {
+					t.Errorf("active version %d has no tree", v)
+					return
+				}
+				if v < prev {
+					t.Errorf("active version went back from %d to %d", prev, v)
+					return
+				}
+				prev = v
+			}
+		}()
+	}
+	for w := int32(0); w < 2; w++ {
+		writers.Add(1)
+		go func(w int32) {
+			defer writers.Done()
+			for v := 2 + w; v <= last; v += 2 {
+				g.install(v, tr)
+			}
+		}(w)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	s := g.Load()
+	if s.active != last || len(s.versions) != 3 {
+		t.Fatalf("active %d with %d versions retained, want %d with 3", s.active, len(s.versions), last)
+	}
+	for v := int32(last - 2); v <= last; v++ {
+		if s.versions[v] == nil {
+			t.Fatalf("version %d not retained", v)
+		}
+	}
+	g.install(last-5, tr) // a stale CtrlTree arriving late is dropped, not activated
+	if s := g.Load(); s.active != last || s.versions[last-5] != nil {
+		t.Fatalf("stale install: active %d, retained %v", s.active, s.versions[last-5] != nil)
+	}
 }
 
 // rateSpout emits continuously until stopped, at full speed.

@@ -3,7 +3,6 @@ package dsps
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -99,20 +98,14 @@ type executor struct {
 
 	ops *opMetrics
 
-	// Admission overflow: remote tuples that found the input queue full are
-	// parked here and moved into `in` by the feeder goroutine, so the
-	// worker's delivery loop never blocks on one slow executor — a stalled
-	// task stops its own senders (grants are issued only when a tuple wins a
-	// queue seat), not its siblings'.
-	// Occupancy is bounded by the credit protocol: once grants stall, every
-	// upstream sender stops within its window.
-	ovMu     sync.Mutex
-	overflow []tuple.AddressedTuple
-	// ovStampNS parallels overflow: the park timestamp of traced tuples
-	// (zero for untraced ones), consumed by feed to attribute overflow
-	// residency as an executor-queue-wait stall.
-	ovStampNS []int64
-	ovKick    chan struct{}
+	// inbox is the admission overflow: remote tuples that found the input
+	// queue full are parked here and moved into `in` by the feeder goroutine,
+	// so the worker's delivery loop never blocks on one slow executor — a
+	// stalled task stops its own senders (grants are issued only when a tuple
+	// wins a queue seat), not its siblings'. Occupancy is bounded by the
+	// credit protocol: once grants stall, every upstream sender stops within
+	// its window.
+	inbox *mailbox[parkedTuple]
 
 	// Reliability state.
 	rng          *rand.Rand
@@ -136,6 +129,15 @@ type executor struct {
 	alignParked atomic.Int64
 }
 
+// parkedTuple is one remote tuple waiting in an executor's inbox for a seat.
+type parkedTuple struct {
+	at tuple.AddressedTuple
+	// stampNS is the park time of a traced tuple (zero for untraced ones),
+	// from which feed attributes the residency as an executor-queue-wait
+	// stall.
+	stampNS int64
+}
+
 func newExecutor(w *worker, ctx TaskContext, spec *OperatorSpec, assign *Assignment, rt *router, isSink bool, queueDepth int) *executor {
 	ops := &opMetrics{} // this executor's private share, merged on read
 	w.eng.addOpShare(ctx.OperatorID, ops)
@@ -147,7 +149,7 @@ func newExecutor(w *worker, ctx TaskContext, spec *OperatorSpec, assign *Assignm
 		isSink: isSink,
 		in:     make(chan tuple.AddressedTuple, queueDepth),
 		ops:    ops,
-		ovKick: make(chan struct{}, 1),
+		inbox:  newMailbox[parkedTuple](),
 		rng:    rand.New(rand.NewSource(int64(ctx.TaskID)*7919 + 1)),
 	}
 	ex.col = &Collector{ex: ex}
@@ -201,50 +203,40 @@ func (ex *executor) rebuildRouting() {
 	}
 }
 
-// feed drains the admission overflow into the executor's input queue in
-// arrival order, granting each tuple's delivery unit once it wins a seat.
+// feed moves parked tuples into the executor's input queue in arrival order,
+// granting each tuple's delivery unit once it wins a seat. A tuple is done
+// only once seated: until then the inbox is not idle and enqueueRemote
+// keeps queueing behind it.
 func (ex *executor) feed() {
 	defer ex.w.wg.Done()
 	for {
-		ex.ovMu.Lock()
-		if len(ex.overflow) > 0 {
-			at := ex.overflow[0]
-			stamp := ex.ovStampNS[0]
-			ex.overflow[0] = tuple.AddressedTuple{}
-			ex.overflow = ex.overflow[1:]
-			ex.ovStampNS = ex.ovStampNS[1:]
-			ex.ovMu.Unlock()
+		for _, p := range ex.inbox.take() {
 			select {
-			case ex.in <- at:
-				ex.w.grantData(at.Src, 1)
-				if stamp != 0 {
-					// Sampled executor-queue-wait stall: park-to-seat time.
-					wait := time.Now().UnixNano() - stamp
-					ex.w.eng.metrics.ExecQueueWaitNS.Add(wait)
-					ex.w.execQueueWaitNS.Add(wait)
-					ex.w.eng.obs.Tracer.RecordHop(at.Data.TraceID, obs.StallExecQueueWait,
-						ex.w.id, at.Src, 0, 0, 0, time.Unix(0, stamp), time.Duration(wait))
-				}
+			case ex.in <- p.at:
 			case <-ex.w.done:
 				return
 			}
-			continue
+			ex.inbox.done()
+			ex.w.grantData(p.at.Src, 1)
+			if p.stampNS != 0 {
+				// Sampled executor-queue-wait stall: park-to-seat time.
+				wait := time.Now().UnixNano() - p.stampNS
+				ex.w.eng.metrics.ExecQueueWaitNS.Add(wait)
+				ex.w.execQueueWaitNS.Add(wait)
+				ex.w.eng.obs.Tracer.RecordHop(p.at.Data.TraceID, obs.StallExecQueueWait,
+					ex.w.id, p.at.Src, 0, 0, 0, time.Unix(0, p.stampNS), time.Duration(wait))
+			}
 		}
-		ex.ovMu.Unlock()
 		select {
-		case <-ex.ovKick:
+		case <-ex.inbox.kick:
 		case <-ex.w.done:
 			return
 		}
 	}
 }
 
-// overflowLen reports the admission overflow depth (drain accounting).
-func (ex *executor) overflowLen() int {
-	ex.ovMu.Lock()
-	defer ex.ovMu.Unlock()
-	return len(ex.overflow)
-}
+// queueLen is the executor's queued-tuple depth: input queue plus inbox.
+func (ex *executor) queueLen() int { return len(ex.in) + ex.inbox.len() }
 
 // emit routes one tuple to all subscribers. It is the hot path: local
 // destinations are enqueued directly (Storm's local fast path, no

@@ -198,8 +198,7 @@ func (e *Engine) ActiveTree(gid int32) (*multicast.Tree, int32, bool) {
 	if !ok {
 		return nil, 0, false
 	}
-	v := gs.activeVersion()
-	tr, ok := gs.tree(v)
+	tr, v, ok := gs.Load().activeTree()
 	if !ok {
 		return nil, 0, false
 	}

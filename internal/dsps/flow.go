@@ -1,7 +1,6 @@
 package dsps
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,6 +67,13 @@ func linkStateName(s int32) string {
 }
 
 const (
+	// highWaterline is the link depth percentage (queue occupancy or
+	// transport pressure) at which an open link becomes throttled;
+	// lowWaterline is the percentage at or below which a throttled or paused
+	// link reopens, given available credit.
+	highWaterline = 80
+	lowWaterline  = 30
+
 	// flowPoll bounds how long a credit-starved sender sleeps between
 	// re-checks when no kick arrives (lost kicks are impossible, but grants
 	// merged while the sender was deciding to sleep are not).
@@ -102,14 +108,16 @@ type flowItem struct {
 
 // flowControl is one worker's half of the credit protocol: the outbound
 // per-destination links (sender side) and the inbound per-source grant
-// accumulators (receiver side).
+// accumulators (receiver side). Both are fixed tables indexed by peer
+// worker id, sized MaxWorkers at Start, so the per-tuple paths (push,
+// grant, onGrant) reach a peer's state without a shared lock; a peer id
+// from the wire is range-checked before it indexes either.
 type flowControl struct {
 	w *worker
 
 	window        int64
 	queueCap      int
 	policy        ShedPolicy
-	high, low     int
 	pauseAfter    time.Duration
 	degradedAfter time.Duration
 	creditTimeout time.Duration
@@ -117,9 +125,8 @@ type flowControl struct {
 
 	draining atomic.Bool
 
-	mu    sync.Mutex //whale:lockrank 20
-	links map[int32]*flowLink
-	in    map[int32]*inboundCredit
+	links []atomic.Pointer[flowLink] // nil until the first push toward that peer
+	in    []inboundCredit
 	wg    sync.WaitGroup
 }
 
@@ -178,13 +185,11 @@ func newFlowControl(w *worker) *flowControl {
 		window:        int64(cfg.CreditWindow),
 		queueCap:      cfg.LinkQueueCap,
 		policy:        cfg.ShedPolicy,
-		high:          cfg.HighWaterline,
-		low:           cfg.LowWaterline,
 		pauseAfter:    cfg.PauseAfter,
 		degradedAfter: cfg.DegradedAfter,
 		creditTimeout: cfg.CreditTimeout,
-		links:         map[int32]*flowLink{},
-		in:            map[int32]*inboundCredit{},
+		links:         make([]atomic.Pointer[flowLink], cfg.MaxWorkers),
+		in:            make([]inboundCredit, cfg.MaxWorkers),
 	}
 	fc.grantEvery = fc.window / 8
 	if fc.grantEvery < 1 {
@@ -196,20 +201,21 @@ func newFlowControl(w *worker) *flowControl {
 // linkTo returns the flow link toward dst, creating it (and its sender
 // goroutine) on first use.
 func (fc *flowControl) linkTo(dst int32) *flowLink {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	l, ok := fc.links[dst]
-	if !ok {
-		l = &flowLink{
-			fc:    fc,
-			dst:   dst,
-			kick:  make(chan struct{}, 1),
-			space: make(chan struct{}, 1),
-		}
-		fc.links[dst] = l
-		fc.wg.Add(1)
-		go l.run()
+	slot := &fc.links[dst]
+	if l := slot.Load(); l != nil {
+		return l
 	}
+	l := &flowLink{
+		fc:    fc,
+		dst:   dst,
+		kick:  make(chan struct{}, 1),
+		space: make(chan struct{}, 1),
+	}
+	if !slot.CompareAndSwap(nil, l) {
+		return slot.Load()
+	}
+	fc.wg.Add(1)
+	go l.run()
 	return l
 }
 
@@ -481,7 +487,7 @@ func (l *flowLink) observe() {
 
 	switch l.state.Load() {
 	case linkStateOpen:
-		if depth >= fc.high {
+		if depth >= highWaterline {
 			l.mu.Lock()
 			l.stateSince = time.Now()
 			l.mu.Unlock()
@@ -492,7 +498,7 @@ func (l *flowLink) observe() {
 			})
 		}
 	case linkStateThrottled, linkStatePaused:
-		if depth <= fc.low && out < fc.window {
+		if depth <= lowWaterline && out < fc.window {
 			wasPaused := l.state.Load() == linkStatePaused
 			l.state.Store(linkStateOpen)
 			l.mu.Lock()
@@ -526,7 +532,7 @@ func (l *flowLink) observe() {
 //
 //whale:grants
 func (fc *flowControl) grant(src int32, n int64) {
-	in := fc.inboundFor(src)
+	in := &fc.in[src]
 	in.mu.Lock()
 	in.drained += n //whale:charged multi
 	in.sinceGrant += n
@@ -540,17 +546,6 @@ func (fc *flowControl) grant(src int32, n int64) {
 	if flush {
 		fc.sendGrant(src, cum)
 	}
-}
-
-func (fc *flowControl) inboundFor(src int32) *inboundCredit {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	in, ok := fc.in[src]
-	if !ok {
-		in = &inboundCredit{}
-		fc.in[src] = in
-	}
-	return in
 }
 
 // sendGrant ships one cumulative CtrlCredit directly on the transport,
@@ -580,13 +575,8 @@ func (fc *flowControl) sendGrant(to int32, cumulative int64) {
 // the engine's credit ticker; because grants are cumulative this is
 // idempotent and heals any grant lost in transit.
 func (fc *flowControl) rebroadcast() {
-	fc.mu.Lock()
-	type pending struct {
-		src int32
-		cum int64
-	}
-	out := make([]pending, 0, len(fc.in))
-	for src, in := range fc.in {
+	for src := range fc.in {
+		in := &fc.in[src]
 		in.mu.Lock()
 		// Resend only counters that moved since the last rebroadcast: a
 		// steady stream of redundant grants competes with data for a slow
@@ -594,17 +584,16 @@ func (fc *flowControl) rebroadcast() {
 		// are meant to open. Each new value is still retransmitted once
 		// after the inline grant, and a sender that loses both copies heals
 		// through its credit timeout.
-		if in.drained > 0 && in.drained != in.rebroadcast {
-			out = append(out, pending{src: src, cum: in.drained})
+		cum := in.drained
+		moved := cum > 0 && cum != in.rebroadcast
+		if moved {
 			in.sinceGrant = 0
-			in.rebroadcast = in.drained
+			in.rebroadcast = cum
 		}
 		in.mu.Unlock()
-	}
-	fc.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].src < out[j].src })
-	for _, p := range out {
-		fc.sendGrant(p.src, p.cum)
+		if moved {
+			fc.sendGrant(int32(src), cum)
+		}
 	}
 }
 
@@ -613,10 +602,11 @@ func (fc *flowControl) rebroadcast() {
 // cumulative value is clamped to what was actually charged so a corrupt or
 // replayed grant can never inflate the window.
 func (fc *flowControl) onGrant(from int32, cumulative int64) {
-	fc.mu.Lock()
-	l, ok := fc.links[from]
-	fc.mu.Unlock()
-	if !ok {
+	if from < 0 || int(from) >= len(fc.links) {
+		return
+	}
+	l := fc.links[from].Load()
+	if l == nil {
 		return
 	}
 	l.mu.Lock()
@@ -633,14 +623,14 @@ func (fc *flowControl) onGrant(from int32, cumulative int64) {
 // queued reports the total work not yet handed to the transport: queued
 // items plus any item popped but still waiting for credit. Drain polls it.
 func (fc *flowControl) queued() int {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
 	n := 0
-	for _, l := range fc.links {
-		l.mu.Lock()
-		n += len(l.queue)
-		l.mu.Unlock()
-		n += int(l.busy.Load())
+	for i := range fc.links {
+		if l := fc.links[i].Load(); l != nil {
+			l.mu.Lock()
+			n += len(l.queue)
+			l.mu.Unlock()
+			n += int(l.busy.Load())
+		}
 	}
 	return n
 }
@@ -650,15 +640,11 @@ func (fc *flowControl) queued() int {
 // eng.stopping, and pop returns false once the queue empties.
 func (fc *flowControl) close() {
 	fc.draining.Store(true)
-	fc.mu.Lock()
-	links := make([]*flowLink, 0, len(fc.links))
-	for _, l := range fc.links {
-		links = append(links, l)
-	}
-	fc.mu.Unlock()
-	for _, l := range links {
-		signal(l.kick)
-		signal(l.space)
+	for i := range fc.links {
+		if l := fc.links[i].Load(); l != nil {
+			signal(l.kick)
+			signal(l.space)
+		}
 	}
 	fc.wg.Wait()
 }
@@ -685,14 +671,16 @@ type LinkStat struct {
 func (e *Engine) LinkStats() []LinkStat {
 	var out []LinkStat
 	for _, w := range e.workers {
-		fc := w.fc
-		fc.mu.Lock()
-		for dst, l := range fc.links {
+		for dst := range w.fc.links {
+			l := w.fc.links[dst].Load()
+			if l == nil {
+				continue
+			}
 			state := l.state.Load()
 			l.mu.Lock()
 			st := LinkStat{
 				From:         w.id,
-				To:           dst,
+				To:           int32(dst),
 				State:        linkStateName(state),
 				Queued:       len(l.queue) + int(l.busy.Load()),
 				Outstanding:  l.sent - l.granted,
@@ -716,14 +704,7 @@ func (e *Engine) LinkStats() []LinkStat {
 			l.mu.Unlock()
 			out = append(out, st)
 		}
-		fc.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }
 

@@ -279,10 +279,10 @@ func (m *monitor) membership() MembershipReport {
 		members := append([]int32(nil), mgr.members...)
 		pending := mgr.pendingVersion != 0
 		mgr.mu.Unlock()
-		gs := e.workers[desc.key.worker].groups[gid]
+		active := e.workers[desc.key.worker].groups[gid].Load().active
 		rep.Groups = append(rep.Groups, GroupStatus{
 			Group: gid, Operator: desc.key.op, Stream: desc.key.stream,
-			SourceWorker: desc.key.worker, ActiveVersion: gs.activeVersion(),
+			SourceWorker: desc.key.worker, ActiveVersion: active,
 			Members: members, SwitchPending: pending,
 		})
 	}

@@ -2,7 +2,6 @@ package dsps
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -60,11 +59,7 @@ type (
 type monitor struct {
 	eng *Engine
 
-	// The mailbox is a mutex-guarded slice plus a cap-1 kick (the idiom
-	// worker.staged uses): posting never blocks. mu guards mailbox only.
-	mu      sync.Mutex
-	mailbox []any
-	kick    chan struct{}
+	mailbox *mailbox[any]
 	done    chan struct{} // closed when the loop has exited
 
 	// Loop-owned membership state.
@@ -75,20 +70,15 @@ type monitor struct {
 func newMonitor(e *Engine) *monitor {
 	return &monitor{
 		eng:     e,
-		kick:    make(chan struct{}, 1),
+		mailbox: newMailbox[any](),
 		done:    make(chan struct{}),
 		joining: map[int32]chan struct{}{},
 		hbStops: map[int32]chan struct{}{},
 	}
 }
 
-// post appends ev to the mailbox. Safe from any goroutine; never blocks.
-func (m *monitor) post(ev any) {
-	m.mu.Lock()
-	m.mailbox = append(m.mailbox, ev)
-	m.mu.Unlock()
-	signal(m.kick)
-}
+// post hands ev to the loop. Safe from any goroutine; never blocks.
+func (m *monitor) post(ev any) { m.mailbox.put(ev) }
 
 // do runs a mutating request on the loop; once the loop has exited it fails
 // fast instead.
@@ -165,13 +155,10 @@ func (m *monitor) run() {
 		select {
 		case <-e.stopTick:
 			return
-		case <-m.kick:
-			m.mu.Lock()
-			batch := m.mailbox
-			m.mailbox = nil
-			m.mu.Unlock()
-			for _, ev := range batch {
+		case <-m.mailbox.kick:
+			for _, ev := range m.mailbox.take() {
 				m.handle(ev)
+				m.mailbox.done()
 			}
 		case now := <-sweepC:
 			m.handle(sweepTick(now))

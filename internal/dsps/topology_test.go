@@ -203,8 +203,9 @@ func TestRouterGroupings(t *testing.T) {
 		t.Fatal("missing field accepted")
 	}
 
-	if rt.hasSubscribers("nosuch") {
-		t.Fatal("phantom subscribers")
+	// A stream nothing subscribes to routes nowhere.
+	if d, err := rt.destinations("nosuch", tp); err != nil || len(d) != 0 {
+		t.Fatalf("phantom subscribers: %v, %v", d, err)
 	}
 }
 

@@ -45,51 +45,50 @@ type sendJob struct {
 	tracked       bool // carries acked-stream tuples (jobRelay): never shed
 }
 
-// groupState is one worker's view of a multicast group: the versioned trees
-// installed by control messages and the currently active version.
-type groupState struct {
-	mu     sync.RWMutex
-	trees  map[int32]*multicast.Tree
-	active int32
+// groupTrees is one worker's view of a multicast group: an immutable
+// snapshot of the versioned trees installed by control messages plus the
+// active version, swapped whole. The source reads it once per multicast
+// tuple and a relay once per hop, so readers pay one atomic load; writers
+// (CtrlTree on the dispatch path, a switch completing at the source, the
+// monitor loop activating a member-less tree) copy, modify and CAS.
+type groupTrees struct{ atomic.Pointer[treeSnap] }
+
+type treeSnap struct {
+	active   int32
+	versions map[int32]*multicast.Tree
 }
 
-func (g *groupState) install(version int32, tr *multicast.Tree) {
-	g.mu.Lock()
-	g.trees[version] = tr
-	// Prune versions older than two behind the newest to bound memory.
-	newest := version
-	for v := range g.trees {
-		if v > newest {
-			newest = v
+func newGroupTrees(version int32, tr *multicast.Tree) *groupTrees {
+	g := &groupTrees{}
+	g.Store(&treeSnap{active: version, versions: map[int32]*multicast.Tree{version: tr}})
+	return g
+}
+
+// activeTree returns the active version and its tree.
+func (s *treeSnap) activeTree() (*multicast.Tree, int32, bool) {
+	tr, ok := s.versions[s.active]
+	return tr, s.active, ok
+}
+
+// install stores tr as version and makes it active unless a newer version
+// already is. Only the newest version and the two behind it are retained, to
+// bound memory; the active version is always the newest installed.
+func (g *groupTrees) install(version int32, tr *multicast.Tree) {
+	for {
+		old := g.Load()
+		if version < old.active-2 {
+			return // a CtrlTree that arrived after three newer ones
+		}
+		next := &treeSnap{active: max(old.active, version), versions: map[int32]*multicast.Tree{version: tr}}
+		for v, t := range old.versions {
+			if v != version && v >= next.active-2 {
+				next.versions[v] = t
+			}
+		}
+		if g.CompareAndSwap(old, next) {
+			return
 		}
 	}
-	for v := range g.trees {
-		if v < newest-2 {
-			delete(g.trees, v)
-		}
-	}
-	g.mu.Unlock()
-}
-
-func (g *groupState) tree(version int32) (*multicast.Tree, bool) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	t, ok := g.trees[version]
-	return t, ok
-}
-
-func (g *groupState) activeVersion() int32 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.active
-}
-
-func (g *groupState) activate(version int32) {
-	g.mu.Lock()
-	if version > g.active {
-		g.active = version
-	}
-	g.mu.Unlock()
 }
 
 // inboundData is one raw data message staged for the delivery goroutine.
@@ -114,7 +113,7 @@ type worker struct {
 	// readers never see a partial map.
 	execs    atomic.Pointer[map[int32]*executor]
 	transfer chan sendJob
-	groups   map[int32]*groupState
+	groups   map[int32]*groupTrees // filled at Start, read-only afterwards
 	enc      *tuple.Encoder
 	p2pDst   [1]int32 // DstIDs scratch for point-to-point sends (send thread only)
 	// rngState seeds retry jitter. Lock-free (splitmix64 over an atomic
@@ -138,11 +137,11 @@ type worker struct {
 	execQueueWaitNS atomic.Int64
 	replayNS        atomic.Int64
 
-	// Staged inbound data messages: the transport handler appends, the delivery goroutine drains. Guarded by stageMu;
-	// stageKick is the cap-1 wakeup.
-	stageMu   sync.Mutex
-	staged    []inboundData
-	stageKick chan struct{}
+	// staged holds inbound data messages between the transport handler
+	// (dispatch) and the delivery goroutine. Its occupancy is bounded by the
+	// credit protocol: no sender can have more than a window of units in
+	// flight, so it holds at most the sum of the incoming links' windows.
+	staged *mailbox[inboundData]
 }
 
 func newWorker(eng *Engine, id int32) *worker {
@@ -150,11 +149,10 @@ func newWorker(eng *Engine, id int32) *worker {
 		id:       id,
 		eng:      eng,
 		transfer: make(chan sendJob, eng.cfg.TransferQueueCap),
-		groups:   map[int32]*groupState{},
+		groups:   map[int32]*groupTrees{},
 		enc:      tuple.NewEncoder(),
 		done:     make(chan struct{}),
-
-		stageKick: make(chan struct{}, 1),
+		staged:   newMailbox[inboundData](),
 	}
 	w.execs.Store(&map[int32]*executor{})
 	w.rngState.Store(uint64(id)*104729 + 7)
@@ -221,10 +219,19 @@ func (w *worker) enqueueLocal(dst int32, tp *tuple.Tuple) {
 // cyclic worker graphs: an executor can block mid-Execute on its own
 // credit-starved downstream emit, and drain-time grants then let two
 // mutually-loaded workers starve each other into timeout-paced stalls.
-// A full input queue parks the tuple on the executor's admission overflow
-// instead of blocking: the delivery loop must keep moving so one slow
-// executor only starves its own senders (grants for its tuples stall at the
-// feeder) while siblings on the same worker keep receiving and granting.
+// A full input queue parks the tuple in the executor's inbox instead of
+// blocking: the delivery loop must keep moving so one slow executor only
+// starves its own senders (grants for its tuples stall at the feeder) while
+// siblings on the same worker keep receiving and granting.
+//
+// The direct seat is taken only when the inbox is idle — empty and with no
+// taken tuple the feeder has yet to seat — because everything this worker
+// receives for one executor must reach it in arrival order: barriers ride
+// the same links as data (DESIGN §13), and one that overtook an older
+// parked tuple would cut that tuple out of its epoch. The delivery
+// goroutine is the inbox's only producer, so idle cannot turn false
+// between the test and the seat.
+//
 // It reports whether the tuple entered an executor queue — a missing
 // executor means the unit must be granted back by the caller instead.
 //
@@ -236,27 +243,22 @@ func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) bool {
 		return false
 	}
 	at := tuple.AddressedTuple{TaskID: dst, Src: from, Data: tp}
-	ex.ovMu.Lock()
-	if len(ex.overflow) == 0 {
+	if ex.inbox.idle() {
 		select {
 		case ex.in <- at:
-			ex.ovMu.Unlock()
 			w.grantData(from, 1)
 			return true
 		default:
 		}
 	}
-	// Parked: stamp traced tuples so the feeder can attribute the overflow
-	// residency as an executor-queue-wait stall (sampled — untraced tuples
-	// carry a zero stamp and pay no clock read).
+	// Parked: stamp traced tuples so the feeder can attribute the residency
+	// as an executor-queue-wait stall (sampled — untraced tuples carry a zero
+	// stamp and pay no clock read).
 	var stamp int64
 	if tp.TraceID != 0 {
 		stamp = time.Now().UnixNano()
 	}
-	ex.overflow = append(ex.overflow, at)
-	ex.ovStampNS = append(ex.ovStampNS, stamp)
-	ex.ovMu.Unlock()
-	signal(ex.ovKick)
+	ex.inbox.put(parkedTuple{at: at, stampNS: stamp})
 	return true
 }
 
@@ -411,8 +413,7 @@ func (w *worker) process(j sendJob) {
 			m.RouteErrors.Inc()
 			return
 		}
-		version := gs.activeVersion()
-		tr, ok := gs.tree(version)
+		tr, version, ok := gs.Load().activeTree()
 		if !ok {
 			m.RouteErrors.Inc()
 			return
@@ -567,18 +568,15 @@ func (w *worker) recordTe(srcTask int32, d time.Duration) {
 
 // dispatch is the transport inbound handler: Whale's dispatcher component.
 //
-// Data messages are staged to a worker-local queue drained by a dedicated
-// delivery goroutine while control messages are handled inline — crucially
-// including CtrlCredit grants. With a single serial inbound handler, a grant
-// queued behind data wedges the whole worker: the delivery path can block
-// on a full executor queue whose bolt is itself blocked emitting on a
-// credit-starved link, and the grant that would reopen that link then sits
-// unprocessed behind the data in front of it — a distributed cycle broken
-// only by the credit timeout. Handling control inline makes grant
-// processing independent of data-path progress. The staged queue is
-// unbounded but its occupancy is bounded by the credit protocol itself: no
-// sender can have more than a window of units in flight, so staging holds
-// at most the sum of the incoming links' windows.
+// Data messages are staged for a dedicated delivery goroutine while control
+// messages are handled inline — crucially including CtrlCredit grants. With
+// a single serial inbound handler, a grant queued behind data wedges the
+// whole worker: the delivery path can block on a full transfer queue whose
+// send thread is itself blocked on a credit-starved link, and the grant
+// that would reopen that link then sits unprocessed behind the data in
+// front of it — a distributed cycle broken only by the credit timeout.
+// Handling control inline makes grant processing independent of data-path
+// progress.
 func (w *worker) dispatch(from transport.WorkerID, payload []byte) {
 	// Any inbound message is liveness evidence; explicit heartbeats only
 	// matter on otherwise-idle links.
@@ -601,49 +599,33 @@ func (w *worker) dispatch(from transport.WorkerID, payload []byte) {
 		w.handleControl(from, cm)
 		return
 	}
-	w.stageMu.Lock()
-	w.staged = append(w.staged, inboundData{from: int32(from), raw: payload})
-	w.stageMu.Unlock()
-	signal(w.stageKick)
+	w.staged.put(inboundData{from: int32(from), raw: payload})
 }
 
-// deliverLoop drains the staged inbound data queue in arrival order. It may
-// block on a full transfer queue — that blocking is the backpressure signal
-// (grants are withheld), and it never delays control-message processing.
+// deliverLoop delivers staged inbound data in arrival order, a batch at a
+// time. It may block on a full transfer queue — that blocking is the
+// backpressure signal (grants are withheld), and it never delays control-
+// message processing.
 func (w *worker) deliverLoop() {
 	defer w.wg.Done()
 	// Single-goroutine decode scratch: DstIDs capacity is reused across
 	// messages, so steady-state delivery does not allocate per message.
 	var scratch tuple.WorkerMessage
 	for {
-		w.stageMu.Lock()
-		if len(w.staged) > 0 {
-			it := w.staged[0]
-			w.staged[0] = inboundData{}
-			w.staged = w.staged[1:]
-			w.stageMu.Unlock()
+		for _, it := range w.staged.take() {
 			if _, err := tuple.DecodeWorkerMessageInto(&scratch, it.raw); err != nil {
 				w.eng.metrics.DecodeErrors.Inc()
 			} else {
 				w.deliverData(transport.WorkerID(it.from), &scratch, it.raw)
 			}
-			continue
+			w.staged.done()
 		}
-		w.stageMu.Unlock()
 		select {
-		case <-w.stageKick:
+		case <-w.staged.kick:
 		case <-w.done:
 			return
 		}
 	}
-}
-
-// stagedLen reports the number of staged inbound data messages (drain
-// accounting).
-func (w *worker) stagedLen() int {
-	w.stageMu.Lock()
-	defer w.stageMu.Unlock()
-	return len(w.staged)
 }
 
 // deliverData routes one decoded inbound message to local executors (and,
@@ -701,7 +683,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		}
 		relayed := false
 		var hopDepth, hopFanout int32
-		if tr, ok := gs.tree(msg.TreeVersion); ok {
+		if tr, ok := gs.Load().versions[msg.TreeVersion]; ok {
 			children := tr.Children(w.id)
 			if len(children) > 0 {
 				w.enqueueSend(sendJob{kind: jobRelay, raw: raw, dstWorkers: children,
@@ -760,7 +742,6 @@ func (w *worker) handleControl(from transport.WorkerID, cm *tuple.ControlMessage
 			return
 		}
 		gs.install(cm.Version, tr)
-		gs.activate(cm.Version)
 		// ACK back to the source worker.
 		w.sendControl(&tuple.ControlMessage{Type: tuple.CtrlAck, Group: cm.Group, Version: cm.Version, Node: w.id}, int32(from))
 

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"whale/internal/metrics"
 )
 
 // ErrOffsetOutOfRange is returned by SeekCommitted when the requested
@@ -94,18 +92,12 @@ type Broker struct {
 	topics  map[string]*topic
 	groups  map[string]*group
 	nextGen int64
-	fam     *metrics.Family
 }
 
 // NewBroker returns an empty broker.
 func NewBroker() *Broker {
-	return &Broker{topics: map[string]*topic{}, groups: map[string]*group{}, fam: metrics.NewFamily()}
+	return &Broker{topics: map[string]*topic{}, groups: map[string]*group{}}
 }
-
-// MetricsFamily exposes the broker's counters (records_appended,
-// records_fetched, offsets_committed) for attachment to an observability
-// registry (obs.Registry.Attach with a "kafkalite" prefix).
-func (b *Broker) MetricsFamily() *metrics.Family { return b.fam }
 
 // CreateTopic declares a topic with the given partition count. retain
 // bounds each partition's in-memory record count (0 = unbounded).
@@ -158,7 +150,6 @@ func (b *Broker) Produce(topicName string, key, value []byte) (partitionIdx int,
 		idx += len(t.parts)
 	}
 	off := t.parts[idx].append(key, value, t.retain)
-	b.fam.Counter("records_appended").Inc()
 	return idx, off, nil
 }
 
@@ -172,7 +163,6 @@ func (b *Broker) ProduceTo(topicName string, partitionIdx int, key, value []byte
 		return 0, fmt.Errorf("kafkalite: partition %d of %q out of range", partitionIdx, topicName)
 	}
 	off := t.parts[partitionIdx].append(key, value, t.retain)
-	b.fam.Counter("records_appended").Inc()
 	return off, nil
 }
 
@@ -186,11 +176,7 @@ func (b *Broker) Fetch(topicName string, partitionIdx int, offset int64, max int
 	if partitionIdx < 0 || partitionIdx >= len(t.parts) {
 		return nil, 0, fmt.Errorf("kafkalite: partition %d of %q out of range", partitionIdx, topicName)
 	}
-	recs, next, err := t.parts[partitionIdx].fetch(offset, max)
-	if err == nil {
-		b.fam.Counter("records_fetched").Add(int64(len(recs)))
-	}
-	return recs, next, err
+	return t.parts[partitionIdx].fetch(offset, max)
 }
 
 // LogStartOffset returns the oldest offset still held by the partition
@@ -247,7 +233,6 @@ func (b *Broker) SeekCommitted(groupID, topicName string, partitionIdx int, offs
 		g.commits[topicName] = tc
 	}
 	tc[partitionIdx] = offset
-	b.fam.Counter("offsets_committed").Inc()
 	return nil
 }
 
@@ -338,7 +323,6 @@ func (b *Broker) CommitOffset(groupID, topicName string, partitionIdx int, offse
 	if offset > tc[partitionIdx] {
 		tc[partitionIdx] = offset
 	}
-	b.fam.Counter("offsets_committed").Inc()
 	return nil
 }
 

@@ -212,70 +212,6 @@ func (e *EWMA) Update(sample float64) float64 {
 // Value returns the current smoothed value.
 func (e *EWMA) Value() float64 { return e.value }
 
-// CPUBreakdown accumulates busy time per category, mirroring the paper's
-// Fig. 2d CPU-time breakdown (serialization vs packet processing vs other).
-type CPUBreakdown struct {
-	mu   sync.Mutex
-	cats map[string]int64 // nanoseconds
-}
-
-// NewCPUBreakdown returns an empty breakdown.
-func NewCPUBreakdown() *CPUBreakdown {
-	return &CPUBreakdown{cats: map[string]int64{}}
-}
-
-// Add accrues d nanoseconds to the category.
-func (b *CPUBreakdown) Add(category string, d int64) {
-	b.mu.Lock()
-	b.cats[category] += d
-	b.mu.Unlock()
-}
-
-// Get returns the accumulated nanoseconds for the category.
-func (b *CPUBreakdown) Get(category string) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cats[category]
-}
-
-// Total returns the sum over all categories.
-func (b *CPUBreakdown) Total() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t int64
-	for _, v := range b.cats {
-		t += v
-	}
-	return t
-}
-
-// Fractions returns each category's share of the total, sorted by name.
-func (b *CPUBreakdown) Fractions() []CategoryShare {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var total int64
-	for _, v := range b.cats {
-		total += v
-	}
-	out := make([]CategoryShare, 0, len(b.cats))
-	for k, v := range b.cats {
-		share := 0.0
-		if total > 0 {
-			share = float64(v) / float64(total)
-		}
-		out = append(out, CategoryShare{Name: k, NS: v, Share: share})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// CategoryShare is one row of a CPU breakdown report.
-type CategoryShare struct {
-	Name  string
-	NS    int64
-	Share float64
-}
-
 // Family is a name-keyed collection of metric primitives: the registration
 // layer beneath the engine's observability registry. Names are hierarchical
 // dot-separated paths ("worker.3.rdma.ring_occupancy"). Get-or-create

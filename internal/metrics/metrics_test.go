@@ -185,41 +185,6 @@ func TestEWMAPanicsOnBadAlpha(t *testing.T) {
 	}
 }
 
-func TestCPUBreakdown(t *testing.T) {
-	b := NewCPUBreakdown()
-	b.Add("serialization", 450)
-	b.Add("network", 540)
-	b.Add("other", 10)
-	if b.Total() != 1000 {
-		t.Fatalf("total %d", b.Total())
-	}
-	if b.Get("serialization") != 450 {
-		t.Fatalf("serialization %d", b.Get("serialization"))
-	}
-	fr := b.Fractions()
-	if len(fr) != 3 {
-		t.Fatalf("fractions %v", fr)
-	}
-	var sum float64
-	for _, f := range fr {
-		sum += f.Share
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("shares sum to %f", sum)
-	}
-	// Sorted by name.
-	if fr[0].Name != "network" || fr[1].Name != "other" || fr[2].Name != "serialization" {
-		t.Fatalf("order %v", fr)
-	}
-}
-
-func TestCPUBreakdownEmpty(t *testing.T) {
-	b := NewCPUBreakdown()
-	if b.Total() != 0 || len(b.Fractions()) != 0 {
-		t.Fatal("empty breakdown must be zero")
-	}
-}
-
 func TestHistogramMergeBucketAlignment(t *testing.T) {
 	// Two histograms fed disjoint streams must merge into exactly the
 	// histogram a single instance fed both streams would be: bucket-wise

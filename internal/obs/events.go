@@ -125,7 +125,7 @@ type EventLog struct {
 // NewEventLog returns a log retaining up to capacity events (default 1024).
 func NewEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
-		capacity = 1024
+		capacity = eventCap
 	}
 	return &EventLog{cap: capacity, subs: map[int]chan Event{}}
 }

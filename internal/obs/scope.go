@@ -6,11 +6,12 @@ type Config struct {
 	// tracing; 0 disables tracing (the per-stage histograms then stay
 	// empty and trace checks are single atomic no-ops).
 	TraceSampleEvery int
-	// TraceKeep bounds retained span timelines (default 64).
-	TraceKeep int
-	// EventCap bounds the event ring (default 1024).
-	EventCap int
 }
+
+const (
+	traceKeep = 64   // retained span timelines per scope
+	eventCap  = 1024 // event ring size per scope
+)
 
 // Scope bundles the three observability facilities one engine instance
 // shares across its subsystems. Every engine owns exactly one Scope
@@ -28,7 +29,7 @@ func NewScope(cfg Config) *Scope {
 	reg := NewRegistry()
 	return &Scope{
 		Reg:    reg,
-		Tracer: newTracer(reg, cfg.TraceSampleEvery, cfg.TraceKeep),
-		Events: NewEventLog(cfg.EventCap),
+		Tracer: newTracer(reg, cfg.TraceSampleEvery, traceKeep),
+		Events: NewEventLog(eventCap),
 	}
 }

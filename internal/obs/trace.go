@@ -142,7 +142,7 @@ type Tracer struct {
 
 func newTracer(reg *Registry, sampleEvery, keep int) *Tracer {
 	if keep <= 0 {
-		keep = 64
+		keep = traceKeep
 	}
 	t := &Tracer{
 		sampleEvery: int64(sampleEvery),

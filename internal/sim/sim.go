@@ -207,9 +207,6 @@ func (g *RNG) Exp(ratePerSec float64) Time {
 	return Time(d)
 }
 
-// Uniform draws from [0, n).
-func (g *RNG) Uniform(n int) int { return g.r.Intn(n) }
-
 // Float returns a uniform float64 in [0, 1).
 func (g *RNG) Float() float64 { return g.r.Float64() }
 
