@@ -227,7 +227,8 @@ func basicRDMAConfig(o Options) rdma.ChannelConfig {
 }
 
 // optimizedRDMAConfig is Whale's tuned data path: one-sided READ with the
-// ring region and MMS/WTL slicing (§4).
+// ring region, batches shipped whenever the link is free and bounded by
+// MMS/WTL slicing (§4).
 func optimizedRDMAConfig(o Options) rdma.ChannelConfig {
 	return rdma.ChannelConfig{
 		Mode:     rdma.ModeOneSidedRead,
@@ -237,19 +238,36 @@ func optimizedRDMAConfig(o Options) rdma.ChannelConfig {
 	}
 }
 
+// flushWindow is how many flushes flushHook tallies before it names their
+// dominant reason. Reasons interleave freely now that most batches leave
+// because the link is free — a stranded batch here, a full one there — so a
+// change between two consecutive flushes means nothing; a change of the
+// majority over a thousand does.
+const flushWindow = 1024
+
 // flushHook counts every RDMA batch flush in the scope's registry by
-// reason (rdma.flushes_mms / _wtl / _explicit, plus rdma.flush_bytes) and
-// logs an event whenever the dominant flush reason changes — the MMS↔WTL
-// transitions that show which side of the slicing trade-off the run is on.
+// reason (rdma.flushes_mms / _wtl / _idle / _explicit, plus
+// rdma.flush_bytes) and logs an event whenever the dominant flush reason
+// of a window of flushWindow flushes differs from the last window's —
+// idle→mms says the links have filled up, idle→wtl that batches are
+// stranded behind busy ones. rdma.flushes_explicit counts the
+// link-was-free flushes as well as Flush and Close, so that mms + wtl +
+// explicit stays the number of flushes rdma.flush_bytes is spread over;
+// rdma.flushes_idle is that share on its own.
 // The returned func is invoked serially per channel (one flush in flight
 // at a time) with no channel lock held, but it still stays cheap: counter
-// bumps and an occasional ring append only.
+// bumps and a rare ring append only.
 func flushHook(scope *obs.Scope) func(rdma.FlushReason, int) {
 	mms := scope.Reg.Counter("rdma.flushes_mms")
 	wtl := scope.Reg.Counter("rdma.flushes_wtl")
 	explicit := scope.Reg.Counter("rdma.flushes_explicit")
+	idle := scope.Reg.Counter("rdma.flushes_idle")
 	bytes := scope.Reg.Counter("rdma.flush_bytes")
-	var last atomic.Int32
+	var (
+		total    atomic.Int64
+		inWindow [rdma.FlushIdle + 1]atomic.Int64 // by reason
+		last     atomic.Int32                     // dominant reason of the previous window
+	)
 	last.Store(-1)
 	return func(reason rdma.FlushReason, batchBytes int) {
 		switch reason {
@@ -257,14 +275,31 @@ func flushHook(scope *obs.Scope) func(rdma.FlushReason, int) {
 			mms.Inc()
 		case rdma.FlushWTL:
 			wtl.Inc()
+		case rdma.FlushIdle:
+			idle.Inc()
+			explicit.Inc()
 		default:
 			explicit.Inc()
 		}
 		bytes.Add(int64(batchBytes))
-		if prev := last.Swap(int32(reason)); prev != int32(reason) && prev != -1 {
+		if int(reason) < len(inWindow) {
+			inWindow[reason].Add(1)
+		}
+		if total.Add(1)%flushWindow != 0 {
+			return
+		}
+		// Whoever lands on the boundary tallies; flushes counted meanwhile
+		// spill into the next window.
+		dominant, most := int32(0), int64(-1)
+		for r := range inWindow {
+			if n := inWindow[r].Swap(0); n > most {
+				dominant, most = int32(r), n
+			}
+		}
+		if prev := last.Swap(dominant); prev != dominant && prev != -1 {
 			scope.Events.Append(obs.Event{
 				Kind:   obs.EventFlushReason,
-				Detail: fmt.Sprintf("flush reason %s -> %s", rdma.FlushReason(prev), reason),
+				Detail: fmt.Sprintf("dominant flush reason %s -> %s", rdma.FlushReason(prev), rdma.FlushReason(dominant)),
 			})
 		}
 	}

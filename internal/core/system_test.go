@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"whale/internal/dsps"
+	"whale/internal/obs"
+	"whale/internal/rdma"
 	"whale/internal/tuple"
 )
 
@@ -178,5 +180,49 @@ func TestAckingOptionsReachEngine(t *testing.T) {
 	defer cfg.Network.Close()
 	if !cfg.AckEnabled || cfg.Ackers != 3 || cfg.AckTimeout != 2*time.Second || cfg.MaxSpoutPending != 7 {
 		t.Fatalf("ack options lost: %+v", cfg)
+	}
+}
+
+// TestFlushHookCountsAndLogsDominantReason: every flush is counted under
+// its reason (a link-free flush under rdma.flushes_explicit as well, which
+// keeps mms + wtl + explicit the divisor of rdma.flush_bytes), and the
+// event log hears about the reason only when the majority of a window
+// changes, not whenever two consecutive flushes differ.
+func TestFlushHookCountsAndLogsDominantReason(t *testing.T) {
+	scope := obs.NewScope(obs.Config{})
+	hook := flushHook(scope)
+	// Two windows of mostly link-free flushes with a stranded batch mixed
+	// in every tenth: hundreds of consecutive-reason changes, no event.
+	for i := 0; i < 2*flushWindow; i++ {
+		if i%10 == 9 {
+			hook(rdma.FlushWTL, 100)
+		} else {
+			hook(rdma.FlushIdle, 100)
+		}
+	}
+	if evs := scope.Events.Recent(0); len(evs) != 0 {
+		t.Fatalf("%d events while the dominant reason stayed idle: %+v", len(evs), evs)
+	}
+	// The links fill up: a window of size flushes.
+	for i := 0; i < flushWindow; i++ {
+		hook(rdma.FlushMMS, 1000)
+	}
+	hook(rdma.FlushExplicit, 100)
+	evs := scope.Events.Recent(0)
+	if len(evs) != 1 || evs[0].Kind != obs.EventFlushReason || evs[0].Detail != "dominant flush reason idle -> mms" {
+		t.Fatalf("events after a window of size flushes: %+v", evs)
+	}
+	c := scope.Reg.Snapshot().Counters
+	idle, wtl := int64(2*flushWindow*9/10+1), int64(2*flushWindow/10)
+	for name, want := range map[string]int64{
+		"rdma.flushes_idle":     idle,
+		"rdma.flushes_wtl":      wtl,
+		"rdma.flushes_mms":      flushWindow,
+		"rdma.flushes_explicit": idle + 1,
+		"rdma.flush_bytes":      100*(idle+wtl+1) + 1000*flushWindow,
+	} {
+		if c[name] != want {
+			t.Errorf("%s = %d, want %d", name, c[name], want)
+		}
 	}
 }

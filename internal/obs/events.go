@@ -19,8 +19,9 @@ const (
 	EventSwitchSkipped = "switch-skipped"
 	// EventSwitchComplete: every member ACKed and the new tree activated.
 	EventSwitchComplete = "switch-complete"
-	// EventFlushReason: an RDMA channel's flush trigger transitioned
-	// between MMS (size) and WTL (timer).
+	// EventFlushReason: the RDMA channels' flush trigger changed — between
+	// idle (the link was free), MMS (batch full), WTL (stranded behind a
+	// busy link until the timer) and explicit.
 	EventFlushReason = "flush-reason"
 	// EventWorkerSuspect: the failure detector saw no traffic from a worker
 	// for the suspicion timeout. Worker carries the suspect's id.

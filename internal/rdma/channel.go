@@ -47,10 +47,16 @@ type FlushReason int
 const (
 	// FlushMMS: the pending batch reached the Max Memory Size.
 	FlushMMS FlushReason = iota
-	// FlushWTL: the Wait Time Limit timer fired first.
+	// FlushWTL: the batch could not leave when it opened — the link was
+	// busy — and the Wait Time Limit ran out before the link came free.
 	FlushWTL
 	// FlushExplicit: Flush or Close forced the batch out.
 	FlushExplicit
+	// FlushIdle: the link was free — no flusher at work and nothing of the
+	// channel's still on its way to the receiver — so the batch left at
+	// once: on the Send that opened it, or the moment the transfer ahead of
+	// it finished.
+	FlushIdle
 )
 
 func (r FlushReason) String() string {
@@ -61,6 +67,8 @@ func (r FlushReason) String() string {
 		return "wtl"
 	case FlushExplicit:
 		return "explicit"
+	case FlushIdle:
+		return "idle"
 	}
 	return fmt.Sprintf("flush(%d)", int(r))
 }
@@ -69,29 +77,36 @@ func (r FlushReason) String() string {
 type ChannelConfig struct {
 	// Mode selects the data-path verbs (default one-sided READ).
 	Mode Mode
-	// MMS is the Max Memory Size: a flush is triggered once the pending
-	// batch reaches this size (paper §4; default 256 KiB, the paper's
-	// chosen operating point from Fig. 11).
+	// MMS is the Max Memory Size: a batch that reaches this size is closed
+	// and shipped whatever the link is doing, the sender waiting out a full
+	// ring if it has to (paper §4; default 256 KiB, the paper's chosen
+	// operating point from Fig. 11).
 	MMS int
-	// WTL is the Wait Time Limit: the oldest pending message waits at most
-	// this long before the batch is flushed anyway (default 1 ms, the
-	// paper's choice from Fig. 12).
+	// WTL is the Wait Time Limit, an upper bound and not a period: a batch
+	// normally leaves the moment the link is free (see Channel), and only
+	// one that opened behind a busy link and is still pending WTL later is
+	// pushed out by the clock (default 1 ms, the paper's choice from
+	// Fig. 12).
 	WTL time.Duration
 	// RingSize is the ring region size (default 4 MiB).
 	RingSize int
 	// QPDepth bounds in-flight work requests (default 128).
 	QPDepth int
-	// PollInterval is the receiver's idle poll period (default 20 µs).
+	// PollInterval is the back-off of the two waits that have nothing to
+	// park on: a flusher retrying a full ring or send queue, and Close
+	// waiting for the receiver to drain (default 20 µs). An idle receiver
+	// does not poll; it parks on the channel's doorbell.
 	PollInterval time.Duration
 	// BlockTimeout bounds how long Send blocks on a full ring before
-	// failing (default 10 s).
+	// failing, and how long Close waits for the receiver to drain (default
+	// 10 s).
 	BlockTimeout time.Duration
 	// OnFlush, if set, is invoked after every batch flush with the trigger
 	// and the batch size in bytes. Calls are serialised — one flush is in
 	// flight at a time, in batch order — but no channel lock is held; the
 	// callback must still be fast and must not call back into the channel
 	// (a re-entrant flush would deadlock on the flush semaphore). The
-	// observability layer uses it to count MMS vs WTL flushes and log
+	// observability layer uses it to count flushes by reason and log
 	// flush-reason transitions.
 	OnFlush func(reason FlushReason, batchBytes int)
 }
@@ -125,6 +140,7 @@ type ChannelStats struct {
 	WorkRequests atomic.Int64 // flushes that became ring appends / sends / writes
 	SizeFlushes  atomic.Int64 // flushes triggered by MMS
 	TimerFlushes atomic.Int64 // flushes triggered by WTL
+	IdleFlushes  atomic.Int64 // flushes that left because the link was free
 	MsgsRecv     atomic.Int64
 	BytesRecv    atomic.Int64
 	BlockedNS    atomic.Int64 // time Send spent blocked on a full ring
@@ -136,21 +152,55 @@ type ChannelStats struct {
 
 // StatsSnapshot is a point-in-time copy of ChannelStats.
 type StatsSnapshot struct {
-	MsgsSent, BytesSent, WorkRequests int64
-	SizeFlushes, TimerFlushes         int64
-	MsgsRecv, BytesRecv, BlockedNS    int64
-	CQPollNS, CQPolls                 int64
-	WRDepthSum, WRFlushes             int64
+	MsgsSent, BytesSent, WorkRequests      int64
+	SizeFlushes, TimerFlushes, IdleFlushes int64
+	MsgsRecv, BytesRecv, BlockedNS         int64
+	CQPollNS, CQPolls                      int64
+	WRDepthSum, WRFlushes                  int64
+}
+
+// Add accumulates o into s, field by field.
+func (s *StatsSnapshot) Add(o StatsSnapshot) {
+	s.MsgsSent += o.MsgsSent
+	s.BytesSent += o.BytesSent
+	s.WorkRequests += o.WorkRequests
+	s.SizeFlushes += o.SizeFlushes
+	s.TimerFlushes += o.TimerFlushes
+	s.IdleFlushes += o.IdleFlushes
+	s.MsgsRecv += o.MsgsRecv
+	s.BytesRecv += o.BytesRecv
+	s.BlockedNS += o.BlockedNS
+	s.CQPollNS += o.CQPollNS
+	s.CQPolls += o.CQPolls
+	s.WRDepthSum += o.WRDepthSum
+	s.WRFlushes += o.WRFlushes
 }
 
 // Channel is a unidirectional, reliable, ordered message channel between
-// two devices, with Whale's stream slicing (MMS) and wait-time-limit (WTL)
-// batching. The dialing side sends; the accepting side receives.
+// two devices. The dialing side sends; the accepting side receives.
+//
+// Batching is opportunistic. Send appends to the pending batch and ships it
+// at once if the link is free: no flusher at work and nothing of the
+// channel's still on its way to the receiver (READ and WRITE modes: the
+// receiver's tail has reached the head; two-sided: no SEND uncompleted).
+// Otherwise the batch stays pending, growing with every Send, until the
+// transfer ahead of it finishes — whichever goroutine sees that happen (the
+// receive loop after its tail feedback, the completion reaper) ships what
+// accumulated — so batches vanish on an idle link and grow under load. Whale's
+// stream slicing survives as the two bounds on a pending batch: MMS closes a
+// full one whatever the link is doing, and WTL pushes out one that opened
+// behind a busy link and is still waiting.
 type Channel struct {
 	cfg    ChannelConfig
 	local  string
 	remote string
 	stats  ChannelStats
+
+	// bell is the doorbell the two halves share (capacity 1, rung without
+	// blocking): the sender rings it after publishing a new head, the idle
+	// receiver parks on it. peer is the other half.
+	bell chan struct{}
+	peer *Channel
 
 	// Sender state. mu guards the pending batch and the closed/error
 	// latches and is never held across a blocking operation. flushSem
@@ -161,8 +211,8 @@ type Channel struct {
 	mu         sync.Mutex
 	pending    []byte
 	spare      []byte // recycled batch buffer (one-sided modes)
-	batchOpen  time.Time
 	timer      *time.Timer
+	timerArmed bool // the WTL timer is counting down on the pending batch
 	sendErr    error
 	closed     bool
 	flushSem   chan struct{} // cap 1: holder is the flushing goroutine
@@ -175,12 +225,15 @@ type Channel struct {
 	// Receiver state.
 	handler   atomic.Pointer[func(msg []byte)]
 	rqp       *QP
-	rcq       *CQ // receiver-owned CQ (send CQ for READ mode, recv CQ for two-sided)
+	rcq       *CQ // receiver-owned CQ (send CQ for the one-sided modes, recv CQ for two-sided)
 	rring     *RemoteRing
-	localRing *Ring // one-sided-write mode: receiver-owned ring
-	slots     *MR   // two-sided receive slots
+	localRing *Ring      // one-sided-write mode: receiver-owned ring
+	tailTo    RemoteAddr // one-sided-write mode: the sender's tail-feedback word
+	tailBuf   [8]byte    // tail-feedback scratch; valid per push (its WRITE is waited for)
+	slots     *MR        // two-sided receive slots
 	slotSize  int
 	nslots    int
+	recvErr   error // first malformed batch; owned by the receive loop
 	done      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -188,17 +241,24 @@ type Channel struct {
 
 // remoteWriterState is the sender-side bookkeeping for one-sided-write
 // mode: a cursor into the receiver's ring region. Only the flushing
-// goroutine (serialised by flushSem) mutates it; head and tail are atomic
-// so RingOccupancy can read the cursor without joining that serialisation.
+// goroutine (serialised by flushSem) mutates it; head is atomic so
+// RingOccupancy can read the cursor without joining that serialisation.
 type remoteWriterState struct {
 	rkey     uint32
 	dataSize int
 	head     atomic.Uint64
-	tail     atomic.Uint64 // cached; refreshed via one-sided READ when full
-	stage    *MR           // 8-byte staging buffer for tail reads
-	hdr      [4]byte       // frame-length scratch; valid per flush (flushSem serialises)
-	headBuf  [8]byte       // head-publish scratch; valid per flush (flushSem serialises)
-	wrs      []WR          // work-request scratch reused across flushes
+	feedback *MR     // 8 bytes the receiver WRITEs its tail into after every consume
+	hdr      [4]byte // frame-length scratch; valid per flush (flushSem serialises)
+	headBuf  [8]byte // head-publish scratch; valid per flush (flushSem serialises)
+	wrs      []WR    // work-request scratch reused across flushes
+}
+
+// tail returns the receiver's tail as last fed back.
+func (st *remoteWriterState) tail() uint64 {
+	var tb [8]byte
+	// The region is eight bytes long by construction; the read cannot fail.
+	_ = st.feedback.ReadAt(tb[:], 0)
+	return binary.LittleEndian.Uint64(tb[:])
 }
 
 // Stats returns a snapshot of the channel's counters.
@@ -209,6 +269,7 @@ func (c *Channel) Stats() StatsSnapshot {
 		WorkRequests: c.stats.WorkRequests.Load(),
 		SizeFlushes:  c.stats.SizeFlushes.Load(),
 		TimerFlushes: c.stats.TimerFlushes.Load(),
+		IdleFlushes:  c.stats.IdleFlushes.Load(),
 		MsgsRecv:     c.stats.MsgsRecv.Load(),
 		BytesRecv:    c.stats.BytesRecv.Load(),
 		BlockedNS:    c.stats.BlockedNS.Load(),
@@ -219,26 +280,38 @@ func (c *Channel) Stats() StatsSnapshot {
 	}
 }
 
+// inTransit returns the bytes the sender has published that the receiver
+// has not yet consumed, as far as the sender can tell without asking (both
+// ring modes have the receiver push its tail to the sender). Zero for the
+// two-sided mode, which has no ring.
+func (c *Channel) inTransit() int {
+	switch st := &c.remoteRing; {
+	case c.ring != nil:
+		return c.ring.Occupancy()
+	case st.feedback != nil:
+		// Head first: the tail only grows towards it.
+		if head, tail := st.head.Load(), st.tail(); tail < head {
+			return int(head - tail)
+		}
+	}
+	return 0
+}
+
 // RingOccupancy returns the bytes sitting in the channel's ring region
 // (published by the sender, not yet consumed by the receiver), plus the
-// pending unflushed batch. Zero for the two-sided mode, which has no ring.
+// pending unflushed batch. The two-sided mode has no ring and reports the
+// pending batch alone.
 func (c *Channel) RingOccupancy() int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	occ := len(c.pending)
-	switch {
-	case c.ring != nil:
-		occ += c.ring.Occupancy()
-	case c.cfg.Mode == ModeOneSidedWrite:
-		occ += int(c.remoteRing.head.Load() - c.remoteRing.tail.Load())
-	}
-	return occ
+	pending := len(c.pending)
+	c.mu.Unlock()
+	return pending + c.inTransit()
 }
 
 // PressurePct reports the channel's ring occupancy (pending batch plus
 // published-but-unconsumed bytes) as a percentage of the ring size, clamped
 // to [0, 100]. The engine's flow controller feeds it into the waterline
-// state machine. Always 0 for the two-sided mode, which has no ring.
+// state machine.
 func (c *Channel) PressurePct() int {
 	occ := c.RingOccupancy()
 	if occ <= 0 {
@@ -264,9 +337,11 @@ func (c *Channel) deliver(msg []byte) {
 	}
 }
 
-// Send enqueues one message. The message is copied into the pending batch;
-// the batch is flushed when it reaches MMS or when the WTL timer fires.
-// Send blocks only when the ring (or send queue) is full — backpressure.
+// Send enqueues one message. The message is copied into the pending batch,
+// and the batch leaves with this call if the link is free or the message
+// filled it to MMS; otherwise it leaves when the link comes free, and WTL
+// later at the latest. Send blocks only when the ring (or send queue) is
+// full — backpressure.
 //
 //whale:hotpath
 func (c *Channel) Send(msg []byte) error {
@@ -279,16 +354,10 @@ func (c *Channel) Send(msg []byte) error {
 		c.mu.Unlock()
 		return err
 	}
-	if len(c.pending) == 0 {
-		// Reuse the batch buffer recycled by the previous flush, if any.
-		if c.spare != nil {
-			c.pending, c.spare = c.spare, nil
-		}
-		// WTL accounting needs the batch-open timestamp; taken once per
-		// batch, not per message.
-		//lint:ignore hotalloc one time.Now per batch, required by WTL batching
-		c.batchOpen = time.Now()
-		c.armTimer()
+	opened := len(c.pending) == 0
+	if opened && c.spare != nil {
+		// Reuse the batch buffer recycled by the previous flush.
+		c.pending, c.spare = c.spare, nil
 	}
 	var lb [4]byte
 	binary.LittleEndian.PutUint32(lb[:], uint32(len(msg)))
@@ -301,7 +370,13 @@ func (c *Channel) Send(msg []byte) error {
 	if full {
 		return c.flush(FlushMMS)
 	}
-	return nil
+	shipped, err := c.shipIfFree()
+	if !shipped && err == nil && opened {
+		// The link is busy. Whoever sees it come free ships the batch; the
+		// clock bounds how long that may take.
+		c.armTimer()
+	}
+	return err
 }
 
 // Flush forces the pending batch out.
@@ -309,7 +384,15 @@ func (c *Channel) Flush() error {
 	return c.flush(FlushExplicit)
 }
 
+// armTimer starts the WTL countdown on the pending batch, if there still
+// is one and it has none.
 func (c *Channel) armTimer() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.pending) == 0 || c.timerArmed || c.closed {
+		return
+	}
+	c.timerArmed = true
 	if c.timer != nil {
 		c.timer.Reset(c.cfg.WTL)
 		return
@@ -327,30 +410,117 @@ func (c *Channel) armTimer() {
 	})
 }
 
-// flush detaches the pending batch under mu and ships it as one work
-// request with no mutex held. flushSem (capacity 1) serialises flushers,
-// so a second flusher waits on a channel — backpressure — rather than
-// holding mu across the ring-full and send-window waits. Returns the
-// latched send error when there is nothing to flush.
+// caughtUp reports whether everything the sender shipped has reached the
+// receiver: the rings are drained, no SEND is uncompleted.
+func (c *Channel) caughtUp() bool {
+	if c.cfg.Mode == ModeTwoSided {
+		return len(c.inflight) == 0
+	}
+	return c.inTransit() == 0
+}
+
+// shipIfFree ships the pending batch if the link is free right now — no
+// flusher at work, the receiver caught up, room for the batch — and never
+// waits. Send tries it after every append, and every place that sees a
+// transfer finish calls it through pull, so a batch left behind a busy link
+// goes out as soon as the link is free again:
+//
+//   - a sender that finds the link busy appended before it looked, so the
+//     end of the transfer it saw in progress comes after the append, and
+//     the pull that follows that end finds the message;
+//   - a sender that loses the semaphore to another flusher is picked up by
+//     that flusher's own shipIfFree after it lets go (see flush).
+func (c *Channel) shipIfFree() (bool, error) {
+	if !c.caughtUp() {
+		return false, nil
+	}
+	select {
+	case c.flushSem <- struct{}{}:
+	default:
+		return false, nil
+	}
+	shipped, err := c.ship(FlushIdle, true)
+	<-c.flushSem
+	return shipped, err
+}
+
+// pull is shipIfFree for the goroutines that watch transfers finish: the
+// receive loops (on the sending half, their peer) once they have consumed
+// everything and fed their tail back, and the two-sided completion reaper
+// once nothing is in flight. It reports whether a batch went out. Errors
+// stay latched in sendErr for the next Send.
+func (c *Channel) pull() bool {
+	c.mu.Lock()
+	idle := len(c.pending) == 0
+	c.mu.Unlock()
+	if idle {
+		return false
+	}
+	shipped, _ := c.shipIfFree()
+	return shipped
+}
+
+// flush takes the link, waiting for it if need be, and ships pending
+// batches until none is left: what senders appended while this flusher sat
+// out a full ring leaves behind it as one batch. Returns the latched send
+// error when there is nothing to flush.
 func (c *Channel) flush(reason FlushReason) error {
 	c.flushSem <- struct{}{}
-	defer func() { <-c.flushSem }()
+	var err error
+	for shipped := true; shipped && err == nil; reason = FlushIdle {
+		shipped, err = c.ship(reason, false)
+	}
+	<-c.flushSem
+	if err == nil {
+		// A Send that ran into the semaphore between the last look at
+		// pending and the release left its message behind.
+		c.pull()
+	}
+	return err
+}
+
+// fits reports whether a batch of n bytes can be shipped without waiting;
+// callers hold flushSem, so only the receiver moves the answer, and only
+// towards true.
+func (c *Channel) fits(n int) bool {
+	switch c.cfg.Mode {
+	case ModeOneSidedRead:
+		free, err := c.ring.Free()
+		return err == nil && free >= 4+n
+	case ModeOneSidedWrite:
+		return c.remoteRing.dataSize-c.inTransit() >= 4+n
+	}
+	return len(c.inflight) < cap(c.inflight)
+}
+
+// ship detaches the pending batch under mu and sends it as one work
+// request with no mutex held; the caller holds flushSem. With mustFit it
+// leaves the batch where it is unless it can go without waiting. It reports
+// whether a batch went out.
+func (c *Channel) ship(reason FlushReason, mustFit bool) (bool, error) {
 	c.mu.Lock()
+	if mustFit && !c.fits(len(c.pending)) {
+		c.mu.Unlock()
+		return false, nil
+	}
 	batch := c.pending
 	c.pending = nil
-	if c.timer != nil {
+	if c.timerArmed {
 		c.timer.Stop()
+		c.timerArmed = false
 	}
 	err := c.sendErr
 	c.mu.Unlock()
 	if len(batch) == 0 || err != nil {
-		return err
+		return false, err
 	}
 	switch reason {
 	case FlushMMS:
 		c.stats.SizeFlushes.Add(1)
 	case FlushWTL:
 		c.stats.TimerFlushes.Add(1)
+	case FlushIdle:
+		c.stats.IdleFlushes.Add(1)
 	}
 	c.stats.WorkRequests.Add(1)
 	if c.cfg.OnFlush != nil {
@@ -377,28 +547,51 @@ func (c *Channel) flush(reason FlushReason) error {
 		c.spare = batch[:0]
 	}
 	c.mu.Unlock()
-	return err
+	return err == nil, err
+}
+
+// ringBell tells the receiver that the head moved. The bell holds one
+// ring: a second one before the receiver looked says nothing new.
+func (c *Channel) ringBell() {
+	select {
+	case c.bell <- struct{}{}:
+	default:
+	}
 }
 
 // flushRing appends the batch to the local ring, blocking (bounded) on a
-// full ring.
+// full ring, and rings the receiver.
 func (c *Channel) flushRing(batch []byte) error {
-	deadline := time.Now().Add(c.cfg.BlockTimeout)
+	var deadline time.Time
 	for {
 		err := c.ring.Append(batch)
 		if err == nil {
+			c.ringBell()
 			return nil
 		}
 		if err != ErrRingFull {
 			return err
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rdma: channel %s->%s blocked on full ring for %v", c.local, c.remote, c.cfg.BlockTimeout)
+		if err := c.awaitRoom(&deadline); err != nil {
+			return err
 		}
-		t0 := time.Now()
-		time.Sleep(c.cfg.PollInterval)
-		c.stats.BlockedNS.Add(time.Since(t0).Nanoseconds())
 	}
+}
+
+// awaitRoom is one back-off of a flusher facing a full ring, charged to
+// BlockedNS: the receiver frees space by feeding its tail back, and there
+// is nothing to park on meanwhile. The deadline is set by the first call
+// and fails the ones after BlockTimeout.
+func (c *Channel) awaitRoom(deadline *time.Time) error {
+	t0 := time.Now()
+	if deadline.IsZero() {
+		*deadline = t0.Add(c.cfg.BlockTimeout)
+	} else if t0.After(*deadline) {
+		return fmt.Errorf("rdma: channel %s->%s blocked on full ring for %v", c.local, c.remote, c.cfg.BlockTimeout)
+	}
+	time.Sleep(c.cfg.PollInterval)
+	c.stats.BlockedNS.Add(time.Since(t0).Nanoseconds())
+	return nil
 }
 
 // flushTwoSided posts the batch as one SEND, bounded by the in-flight
@@ -424,37 +617,20 @@ func (c *Channel) flushTwoSided(batch []byte) error {
 }
 
 // flushRemoteWrite pushes the batch into the receiver's ring with one-sided
-// WRITEs: data, then the head counter.
+// WRITEs — data, then the head counter — and rings the receiver.
 func (c *Channel) flushRemoteWrite(batch []byte) error {
 	st := &c.remoteRing
 	need := 4 + len(batch)
 	if need > st.dataSize {
 		return fmt.Errorf("rdma: batch of %d bytes exceeds remote ring size %d", len(batch), st.dataSize)
 	}
-	head := st.head.Load()
-	deadline := time.Now().Add(c.cfg.BlockTimeout)
-	for st.dataSize-int(head-st.tail.Load()) < need {
-		// Refresh the cached tail with a one-sided READ.
-		if err := c.syncOp(WR{Op: OpRead, Local: SGE{MR: st.stage, Offset: 0, Length: 8},
-			Remote: RemoteAddr{RKey: st.rkey, Offset: ringTailOff}}); err != nil {
+	var deadline time.Time
+	for !c.fits(len(batch)) {
+		if err := c.awaitRoom(&deadline); err != nil {
 			return err
 		}
-		var tb [8]byte
-		if err := st.stage.ReadAt(tb[:], 0); err != nil {
-			return err
-		}
-		tail := binary.LittleEndian.Uint64(tb[:])
-		st.tail.Store(tail)
-		if st.dataSize-int(head-tail) >= need {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("rdma: remote ring full for %v", c.cfg.BlockTimeout)
-		}
-		t0 := time.Now()
-		time.Sleep(c.cfg.PollInterval)
-		c.stats.BlockedNS.Add(time.Since(t0).Nanoseconds())
 	}
+	head := st.head.Load()
 	// Post the length header and the batch as separate pipelined WRITEs
 	// instead of assembling an intermediate frame copy: pipelineOps reaps
 	// every completion before returning, so the batch (and the header/head
@@ -472,7 +648,11 @@ func (c *Channel) flushRemoteWrite(batch []byte) error {
 	wrs = append(wrs, WR{Op: OpWrite, Inline: st.headBuf[:],
 		Remote: RemoteAddr{RKey: st.rkey, Offset: ringHeadOff}})
 	st.wrs = wrs[:0]
-	return c.pipelineOps(wrs)
+	if err := c.pipelineOps(wrs); err != nil {
+		return err
+	}
+	c.ringBell()
+	return nil
 }
 
 // appendRingWrites splits one logical write of p at ring offset off into the
@@ -522,22 +702,22 @@ func (c *Channel) pipelineOps(wrs []WR) error {
 	return firstErr
 }
 
-// syncOp posts one work request on the sender QP and waits for completion.
-func (c *Channel) syncOp(wr WR) error {
-	if err := c.sqp.PostSend(wr); err != nil {
-		return err
+// awaitDrained waits until the receiver has consumed everything shipped,
+// bounded by BlockTimeout, or until the receiving half is closed.
+func (c *Channel) awaitDrained() {
+	deadline := time.Now().Add(c.cfg.BlockTimeout)
+	for !c.caughtUp() && time.Now().Before(deadline) {
+		select {
+		case <-c.peer.done:
+			return
+		default:
+		}
+		time.Sleep(c.cfg.PollInterval)
 	}
-	wc, ok := c.scq.Wait(rnrWait)
-	if !ok {
-		return fmt.Errorf("rdma: %v completion timed out", wr.Op)
-	}
-	if wc.Status != StatusOK {
-		return fmt.Errorf("rdma: %v failed: %v (%v)", wr.Op, wc.Status, wc.Err)
-	}
-	return nil
 }
 
-// Close flushes pending data and stops the channel's goroutines.
+// Close flushes pending data, waits for the receiver to consume it, and
+// stops the channel's goroutines.
 func (c *Channel) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
@@ -553,8 +733,10 @@ func (c *Channel) Close() error {
 			// the batch behind it.
 			err = c.flush(FlushExplicit)
 		}
-		// Let the receiver drain what was just flushed.
-		time.Sleep(2 * c.cfg.PollInterval)
+		// The last batch is delivered before the queue pairs go. (The
+		// receiving half ships nothing and is always caught up.)
+		c.ringBell()
+		c.awaitDrained()
 		close(c.done)
 		c.wg.Wait()
 		if c.sqp != nil {
@@ -570,59 +752,64 @@ func (c *Channel) Close() error {
 // parseBatch splits a batch into messages and delivers each. Messages are
 // delivered as sub-slices of batch rather than per-message copies: every
 // receive loop hands parseBatch a freshly read buffer it never touches
-// again, so ownership of the whole batch — and with it each aliased message
-// — transfers to the handler (a retained message pins its batch until the
+// again, so ownership of the whole buffer — and with it each aliased message
+// — transfers to the handler (a retained message pins its buffer until the
 // handler drops it, which the GC handles).
 func (c *Channel) parseBatch(batch []byte) error {
-	off := 0
-	for off < len(batch) {
-		if off+4 > len(batch) {
-			return fmt.Errorf("rdma: truncated batch header")
-		}
-		n := int(binary.LittleEndian.Uint32(batch[off:]))
-		off += 4
-		if off+n > len(batch) {
-			return fmt.Errorf("rdma: truncated batch payload (%d > %d)", n, len(batch)-off)
-		}
-		c.deliver(batch[off : off+n : off+n])
-		off += n
+	_, err := eachFrame(batch, c.deliver)
+	return err
+}
+
+// onFrame is the receive loops' per-frame callback: a frame is one batch.
+// The first parse failure is kept in recvErr, which the loop checks after
+// the poll.
+func (c *Channel) onFrame(frame []byte) {
+	if err := c.parseBatch(frame); err != nil && c.recvErr == nil {
+		c.recvErr = err
 	}
-	return nil
+}
+
+// awaitBell is the receive loops' idle step. They call it between polls:
+// with park false it only takes a ring that is already there — the poll
+// about to start sees whatever it announced — and with park true, after a
+// poll that found nothing and a pull that shipped nothing, it sleeps until
+// the next ring. A ring is lost to neither: the sender rings after it has
+// published, the bell keeps one ring, and every ring taken is followed by
+// a poll. It reports false once the channel is closed.
+func (c *Channel) awaitBell(park bool) bool {
+	if park {
+		select {
+		case <-c.bell:
+			return true
+		case <-c.done:
+			return false
+		}
+	}
+	select {
+	case <-c.done:
+		return false
+	case <-c.bell:
+	default:
+	}
+	return true
 }
 
 // recvLoopRead is the receiver goroutine for one-sided READ mode.
 func (c *Channel) recvLoopRead() {
 	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		default:
-		}
-		var parseErr error
+	for park := false; c.awaitBell(park); {
 		t0 := time.Now()
-		n, err := c.rring.Poll(c.rcq, func(frame []byte) {
-			if e := c.parseBatch(frame); e != nil && parseErr == nil {
-				parseErr = e
-			}
-		})
+		n, err := c.rring.Poll(c.rcq, c.onFrame)
 		c.stats.CQPollNS.Add(time.Since(t0).Nanoseconds())
 		c.stats.CQPolls.Add(1)
-		if err == nil {
-			err = parseErr
+		if err != nil || c.recvErr != nil {
+			// Transport-level failure: nothing to deliver to; stop.
+			return
 		}
-		if err != nil {
-			select {
-			case <-c.done:
-				return
-			default:
-				// Transport-level failure: nothing to deliver to; stop.
-				return
-			}
-		}
-		if n == 0 {
-			time.Sleep(c.cfg.PollInterval)
-		}
+		// Park only after a poll that found nothing, and then only if the
+		// sender holds nothing back: the tail feedback of the last frames
+		// has landed, so the link is free for whatever is pending.
+		park = n == 0 && !c.peer.pull()
 	}
 }
 
@@ -658,35 +845,39 @@ func (c *Channel) recvLoopTwoSided() {
 	}
 }
 
-// recvLoopLocalRing consumes the receiver-owned ring (one-sided WRITE mode).
+// recvLoopLocalRing consumes the receiver-owned ring (one-sided WRITE mode)
+// and feeds the tail back to the sender with a one-sided WRITE.
 func (c *Channel) recvLoopLocalRing() {
 	defer c.wg.Done()
-	for {
-		select {
-		case <-c.done:
-			return
-		default:
+	for park := false; c.awaitBell(park); {
+		n, err := c.localRing.LocalConsume(c.onFrame)
+		if err == nil && n > 0 {
+			err = c.pushTail()
 		}
-		var parseErr error
-		n, err := c.localRing.LocalConsume(func(frame []byte) {
-			if e := c.parseBatch(frame); e != nil && parseErr == nil {
-				parseErr = e
-			}
-		})
-		if err == nil {
-			err = parseErr
-		}
-		if err != nil {
+		if err != nil || c.recvErr != nil {
 			return
 		}
-		if n == 0 {
-			time.Sleep(c.cfg.PollInterval)
-		}
+		park = n == 0 && !c.peer.pull()
 	}
 }
 
+// pushTail WRITEs the local ring's tail into the sender's feedback word and
+// waits for the completion: when it returns, the sender sees the space.
+func (c *Channel) pushTail() error {
+	binary.LittleEndian.PutUint64(c.tailBuf[:], c.localRing.tail.Load())
+	if err := c.rqp.PostSend(WR{Op: OpWrite, Inline: c.tailBuf[:], Remote: c.tailTo}); err != nil {
+		return err
+	}
+	wc, ok := c.rcq.Wait(rnrWait)
+	if !ok || wc.Status != StatusOK {
+		return fmt.Errorf("rdma: tail WRITE failed: %+v", wc)
+	}
+	return nil
+}
+
 // senderReaper drains the sender's CQ in two-sided mode, releasing the
-// in-flight window and latching errors.
+// in-flight window and latching errors. The completion that empties the
+// window frees the link: the reaper ships what senders left pending.
 func (c *Channel) senderReaper() {
 	defer c.wg.Done()
 	for {
@@ -706,6 +897,9 @@ func (c *Channel) senderReaper() {
 				c.sendErr = fmt.Errorf("rdma: send failed: %v (%v)", wc.Status, wc.Err)
 			}
 			c.mu.Unlock()
+		}
+		if len(c.inflight) == 0 {
+			c.pull()
 		}
 	}
 }

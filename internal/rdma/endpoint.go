@@ -69,10 +69,12 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 	}
 
 	cfg := e.cfg
-	send := &Channel{cfg: cfg, local: e.Name(), remote: remote,
+	bell := make(chan struct{}, 1)
+	send := &Channel{cfg: cfg, local: e.Name(), remote: remote, bell: bell,
 		done: make(chan struct{}), flushSem: make(chan struct{}, 1)}
-	recv := &Channel{cfg: cfg, local: remote, remote: e.Name(),
+	recv := &Channel{cfg: cfg, local: remote, remote: e.Name(), bell: bell,
 		done: make(chan struct{}), flushSem: make(chan struct{}, 1)}
+	send.peer, recv.peer = recv, send
 
 	switch cfg.Mode {
 	case ModeOneSidedRead:
@@ -139,8 +141,10 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 		go recv.recvLoopTwoSided()
 
 	case ModeOneSidedWrite:
-		// Receiver owns the ring; the sender's QP drives WRITE/READ.
-		ringMR, err := RegisterMemory(re.pd, cfg.RingSize, AccessRemoteRead|AccessRemoteWrite)
+		// Receiver owns the ring; the sender's QP drives the data WRITEs,
+		// the receiver's QP WRITEs its tail back into the sender's feedback
+		// word.
+		ringMR, err := RegisterMemory(re.pd, cfg.RingSize, AccessRemoteWrite)
 		if err != nil {
 			return nil, err
 		}
@@ -148,24 +152,26 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 		if err != nil {
 			return nil, err
 		}
-		stage, err := RegisterMemory(e.pd, 8, AccessLocalWrite)
+		feedback, err := RegisterMemory(e.pd, 8, AccessRemoteWrite)
 		if err != nil {
 			return nil, err
 		}
 		scq := NewCQ(cfg.QPDepth)
 		sqp := CreateQP(e.pd, scq, NewCQ(1), QPCap{SendDepth: cfg.QPDepth})
-		rqp := CreateQP(re.pd, NewCQ(1), NewCQ(1), QPCap{})
+		rcq := NewCQ(1)
+		rqp := CreateQP(re.pd, rcq, NewCQ(1), QPCap{})
 		if err := ConnectPair(sqp, rqp); err != nil {
 			return nil, err
 		}
 		send.sqp, send.scq = sqp, scq
-		// Field-wise init: the head/tail cursors are atomics, so the struct
-		// must not be copied wholesale.
+		// Field-wise init: the head cursor is an atomic, so the struct must
+		// not be copied wholesale.
 		send.remoteRing.rkey = ringMR.RKey()
 		send.remoteRing.dataSize = ring.DataSize()
-		send.remoteRing.stage = stage
-		recv.rqp = rqp
+		send.remoteRing.feedback = feedback
+		recv.rqp, recv.rcq = rqp, rcq
 		recv.localRing = ring
+		recv.tailTo = RemoteAddr{RKey: feedback.RKey()}
 		acceptFn(e.Name(), recv)
 		recv.wg.Add(1)
 		go recv.recvLoopLocalRing()

@@ -3,6 +3,7 @@ package rdma
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Access flags for memory registration.
@@ -34,6 +35,7 @@ type MR struct {
 	rkey   uint32
 	access Access
 	size   int
+	seq    uint64 // process-wide registration order; orders two-region locking
 
 	mu  sync.Mutex
 	buf []byte // the written prefix, grown by doubling up to size
@@ -41,6 +43,9 @@ type MR struct {
 
 // mrMinBacking is the smallest backing allocation.
 const mrMinBacking = 64 << 10
+
+// mrSeq numbers regions in registration order.
+var mrSeq atomic.Uint64
 
 // RegisterMemory registers length bytes under the protection domain and
 // returns the MR. It corresponds to ibv_reg_mr; Whale registers one large
@@ -63,6 +68,7 @@ func RegisterMemory(pd *PD, length int, access Access) (*MR, error) {
 		rkey:   d.nextKey,
 		access: access,
 		size:   length,
+		seq:    mrSeq.Add(1),
 	}
 	d.mrs[mr.rkey] = mr
 	return mr, nil
@@ -108,23 +114,60 @@ func (m *MR) WriteAt(p []byte, off int) error {
 		return fmt.Errorf("rdma: MR write [%d,%d) out of bounds (len %d)", off, off+len(p), m.size)
 	}
 	m.mu.Lock()
-	if end := off + len(p); end > len(m.buf) {
-		n := max(end, 2*len(m.buf), mrMinBacking)
-		grown := make([]byte, min(n, m.size))
-		copy(grown, m.buf)
-		m.buf = grown
-	}
+	m.back(off + len(p))
 	copy(m.buf[off:], p)
 	m.mu.Unlock()
 	return nil
 }
 
-// remoteRead serves a one-sided READ against this region.
-func (m *MR) remoteRead(p []byte, off int) error {
+// back grows the written prefix to cover [0, end); callers hold m.mu.
+func (m *MR) back(end int) {
+	if end <= len(m.buf) {
+		return
+	}
+	n := max(end, 2*len(m.buf), mrMinBacking)
+	grown := make([]byte, min(n, m.size))
+	copy(grown, m.buf)
+	m.buf = grown
+}
+
+// remoteReadInto serves a one-sided READ of [off, off+n) against this
+// region straight into dst at dstOff — the RNIC's DMA, region to region,
+// with no buffer in between: remote-read access and ReadAt's bounds on this
+// side, WriteAt's bounds on dst.
+func (m *MR) remoteReadInto(dst *MR, dstOff, off, n int) error {
 	if m.access&AccessRemoteRead == 0 {
 		return fmt.Errorf("rdma: MR rkey %d not registered for remote read", m.rkey)
 	}
-	return m.ReadAt(p, off)
+	if off < 0 || n < 0 || off+n > m.size {
+		return fmt.Errorf("rdma: MR read [%d,%d) out of bounds (len %d)", off, off+n, m.size)
+	}
+	if dstOff < 0 || dstOff+n > dst.size {
+		return fmt.Errorf("rdma: MR write [%d,%d) out of bounds (len %d)", dstOff, dstOff+n, dst.size)
+	}
+	// Both regions stay locked for the copy, taken in registration order so
+	// that two READs crossing each other cannot deadlock.
+	first, second := m, dst
+	if second.seq < first.seq {
+		first, second = second, first
+	}
+	first.mu.Lock()
+	if second != first {
+		//lint:ignore lockorder same lock class on two instances, ordered by registration sequence above
+		second.mu.Lock()
+	}
+	dst.back(dstOff + n)
+	sink := dst.buf[dstOff : dstOff+n]
+	k := 0
+	if off < len(m.buf) {
+		k = copy(sink, m.buf[off:])
+	}
+	clear(sink[k:])
+	if second != first {
+		second.mu.Unlock()
+	}
+	first.mu.Unlock()
+	return nil
 }
 
 // remoteWrite serves a one-sided WRITE against this region.

@@ -481,15 +481,13 @@ func (q *QP) execRead(wr WR) {
 	if wr.Local.MR == nil {
 		err = fmt.Errorf("rdma: READ WR %d has no local MR", wr.WRID)
 	} else {
-		buf := make([]byte, wr.Local.Length)
 		var mr *MR
 		mr, err = q.remote.pd.dev.lookupMR(wr.Remote.RKey)
 		if err == nil {
-			err = mr.remoteRead(buf, wr.Remote.Offset)
+			err = mr.remoteReadInto(wr.Local.MR, wr.Local.Offset, wr.Remote.Offset, wr.Local.Length)
 		}
 		if err == nil {
-			err = wr.Local.MR.WriteAt(buf, wr.Local.Offset)
-			n = len(buf)
+			n = wr.Local.Length
 		}
 	}
 	st := StatusOK

@@ -141,34 +141,55 @@ func (r *Ring) writeWrapped(pos uint64, p []byte) error {
 
 // LocalConsume reads all complete frames currently published (for the
 // one-sided WRITE mode, where the consumer owns the ring and reads it with
-// plain local access), advances the tail, and invokes fn per frame.
+// plain local access), advances the tail, and invokes fn per frame. The
+// published range is copied out of the region once; the frames handed to fn
+// are sub-slices of that one buffer, which fn's callee owns from then on.
 func (r *Ring) LocalConsume(fn func(frame []byte)) (int, error) {
 	var hb [8]byte
 	if err := r.mr.ReadAt(hb[:], ringHeadOff); err != nil {
 		return 0, err
 	}
 	head := binary.LittleEndian.Uint64(hb[:])
-	count := 0
 	tail := r.tail.Load()
-	for tail < head {
-		var lb [4]byte
-		if err := r.readWrapped(tail, lb[:]); err != nil {
-			return count, err
-		}
-		n := binary.LittleEndian.Uint32(lb[:])
-		frame := make([]byte, n)
-		if err := r.readWrapped(tail+4, frame); err != nil {
-			return count, err
-		}
-		tail += uint64(4 + n)
-		r.tail.Store(tail)
-		fn(frame)
-		count++
+	if head == tail {
+		return 0, nil
 	}
+	if head < tail || head-tail > uint64(r.size) {
+		return 0, fmt.Errorf("rdma: ring corrupt (head=%d tail=%d)", head, tail)
+	}
+	buf := make([]byte, head-tail)
+	if err := r.readWrapped(tail, buf); err != nil {
+		return 0, err
+	}
+	count, err := eachFrame(buf, fn)
+	if err != nil {
+		return count, err
+	}
+	r.tail.Store(head)
 	var tb [8]byte
-	binary.LittleEndian.PutUint64(tb[:], tail)
+	binary.LittleEndian.PutUint64(tb[:], head)
 	if err := r.mr.WriteAt(tb[:], ringTailOff); err != nil {
 		return count, err
+	}
+	return count, nil
+}
+
+// eachFrame walks the length-prefixed frames of one published range and
+// hands each to fn as a sub-slice of buf (capacity clipped, so an append by
+// the callee cannot run into the next frame).
+func eachFrame(buf []byte, fn func(frame []byte)) (int, error) {
+	count := 0
+	for off := 0; off < len(buf); count++ {
+		if len(buf)-off < 4 {
+			return count, fmt.Errorf("rdma: truncated frame header in published range")
+		}
+		n := int(binary.LittleEndian.Uint32(buf[off:]))
+		off += 4
+		if n > len(buf)-off {
+			return count, fmt.Errorf("rdma: frame of %d bytes overruns published range", n)
+		}
+		fn(buf[off : off+n : off+n])
+		off += n
 	}
 	return count, nil
 }
@@ -198,6 +219,7 @@ type RemoteRing struct {
 	dataSize int
 	tail     uint64
 	wrid     uint64
+	tailBuf  [8]byte // tail-feedback scratch; valid per poll (its WRITE is waited for)
 }
 
 // NewRemoteRing prepares a consumer for the remote ring behind rkey with
@@ -236,7 +258,9 @@ func (rr *RemoteRing) readRemote(stageOff, off, n int, cq *CQ) error {
 
 // Poll fetches any newly published frames from the remote ring, invoking fn
 // for each, and writes the tail feedback back to the producer. It returns
-// the number of frames consumed. cq is the consumer-owned send CQ.
+// the number of frames consumed. cq is the consumer-owned send CQ. The
+// frames alias one buffer allocated per poll (none when nothing was
+// published), which passes to fn's callee.
 func (rr *RemoteRing) Poll(cq *CQ, fn func(frame []byte)) (int, error) {
 	// Read the remote head counter.
 	if err := rr.readRemote(0, ringHeadOff, 8, cq); err != nil {
@@ -271,35 +295,25 @@ func (rr *RemoteRing) Poll(cq *CQ, fn func(frame []byte)) (int, error) {
 			return 0, err
 		}
 	}
-	// Parse frames out of the staged bytes.
-	count := 0
-	pos := rr.tail
-	for pos < head {
-		var lb [4]byte
-		if err := rr.stageRead(pos, lb[:]); err != nil {
-			return count, err
-		}
-		n := binary.LittleEndian.Uint32(lb[:])
-		if uint64(4+n) > head-pos {
-			return count, fmt.Errorf("rdma: frame of %d bytes overruns published range", n)
-		}
-		frame := make([]byte, n)
-		if err := rr.stageRead(pos+4, frame); err != nil {
-			return count, err
-		}
-		pos += uint64(4 + n)
-		fn(frame)
-		count++
+	// Copy the staged range out once — linearised across the wrap — and
+	// hand the frames out as sub-slices of that buffer: one allocation per
+	// poll however many frames it found. The callee owns the buffer.
+	buf := make([]byte, newBytes)
+	if err := rr.stageRead(rr.tail, buf); err != nil {
+		return 0, err
+	}
+	count, err := eachFrame(buf, fn)
+	if err != nil {
+		return count, err
 	}
 	rr.tail = head
 	// One-sided WRITE of the tail feedback into the producer's ring.
-	var tb [8]byte
-	binary.LittleEndian.PutUint64(tb[:], rr.tail)
+	binary.LittleEndian.PutUint64(rr.tailBuf[:], rr.tail)
 	rr.wrid++
 	if err := rr.qp.PostSend(WR{
 		WRID:   rr.wrid,
 		Op:     OpWrite,
-		Inline: tb[:],
+		Inline: rr.tailBuf[:],
 		Remote: RemoteAddr{RKey: rr.rkey, Offset: ringTailOff},
 	}); err != nil {
 		return count, err

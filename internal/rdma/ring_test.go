@@ -6,7 +6,11 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
 
 func ringPair(t *testing.T, ringSize int) (prod *Ring, cons *RemoteRing, cq *CQ) {
 	t.Helper()
@@ -332,6 +336,79 @@ func TestQuickRingRandomInterleavings(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		if !run(seed) {
 			t.Fatalf("seed %d: ring violated FIFO/integrity", seed)
+		}
+	}
+}
+
+// TestRingEmptyPollAllocatesNothing: a poll that finds no new frame is one
+// 8-byte READ of the head, region to region, and allocates nothing; one
+// that finds frames allocates the one buffer they share.
+func TestRingEmptyPollAllocatesNothing(t *testing.T) {
+	prod, cons, cq := ringPair(t, 4096)
+	nop := func([]byte) {}
+	if _, err := cons.Poll(cq, nop); err != nil { // backs the staging region
+		t.Fatal(err)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if n, err := cons.Poll(cq, nop); n != 0 || err != nil {
+			t.Fatalf("idle poll: %d, %v", n, err)
+		}
+	}); avg != 0 {
+		t.Fatalf("an empty Poll allocates %v times", avg)
+	}
+	frames, frame := 0, []byte("eight frames, one buffer")
+	if avg := testing.AllocsPerRun(50, func() {
+		for i := 0; i < 8; i++ {
+			if err := prod.Append(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n, err := cons.Poll(cq, nop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames += n
+	}); avg > 1 && !raceEnabled {
+		t.Fatalf("a Poll that found 8 frames allocates %v times, want once", avg)
+	}
+	if frames != 8*51 {
+		t.Fatalf("polled %d frames", frames)
+	}
+}
+
+// TestRingFramesShareOnePollBuffer: the frames of one poll are consecutive
+// sub-slices of a single buffer, each clipped to its own length.
+func TestRingFramesShareOnePollBuffer(t *testing.T) {
+	prod, cons, cq := ringPair(t, 16+256)
+	// Park head and tail near the end of the data area so the range wraps.
+	if err := prod.Append(make([]byte, 200)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cons.Poll(cq, func([]byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"wraps-around-the-end-of-the-data-area", "second", ""}
+	for _, w := range want {
+		if err := prod.Append([]byte(w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got [][]byte
+	if _, err := cons.Poll(cq, func(f []byte) { got = append(got, f) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("polled %d frames", len(got))
+	}
+	for i, f := range got {
+		if string(f) != want[i] || cap(f) != len(f) {
+			t.Fatalf("frame %d = %q (cap %d)", i, f, cap(f))
+		}
+		if i > 0 && len(f) > 0 {
+			prev := got[i-1]
+			if uintptr(unsafe.Pointer(&f[0])) != uintptr(unsafe.Pointer(&prev[0]))+uintptr(len(prev)+4) {
+				t.Fatalf("frame %d does not follow frame %d in the poll's buffer", i, i-1)
+			}
 		}
 	}
 }

@@ -430,3 +430,56 @@ func TestPostErrorSentinels(t *testing.T) {
 		t.Fatalf("closed PostRecv = %v, want ErrQPClosed", err)
 	}
 }
+
+// TestReadFaultsCompleteInError: a one-sided READ copies region to region
+// under the checks of both sides — remote-read access and bounds on the
+// source, bounds on the sink — and a fault completes the request with
+// StatusErr, moving nothing.
+func TestReadFaultsCompleteInError(t *testing.T) {
+	pdA, pdB, qpA, _, cqA, _, _, _ := pair(t, CostModel{})
+	src, _ := RegisterMemory(pdB, 64, AccessRemoteRead)
+	locked, _ := RegisterMemory(pdB, 64, AccessRemoteWrite) // no remote read
+	sink, _ := RegisterMemory(pdA, 32, AccessLocalWrite)
+	if err := src.WriteAt(bytes.Repeat([]byte{7}, 64), 0); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		wr   WR
+		ok   bool
+	}{
+		{"in bounds", WR{Op: OpRead, Local: SGE{MR: sink, Offset: 8, Length: 16}, Remote: RemoteAddr{RKey: src.RKey(), Offset: 48}}, true},
+		{"source overrun", WR{Op: OpRead, Local: SGE{MR: sink, Length: 16}, Remote: RemoteAddr{RKey: src.RKey(), Offset: 56}}, false},
+		{"negative source offset", WR{Op: OpRead, Local: SGE{MR: sink, Length: 16}, Remote: RemoteAddr{RKey: src.RKey(), Offset: -1}}, false},
+		{"sink overrun", WR{Op: OpRead, Local: SGE{MR: sink, Offset: 24, Length: 16}, Remote: RemoteAddr{RKey: src.RKey()}}, false},
+		{"not remote-readable", WR{Op: OpRead, Local: SGE{MR: sink, Length: 16}, Remote: RemoteAddr{RKey: locked.RKey()}}, false},
+		{"unknown rkey", WR{Op: OpRead, Local: SGE{MR: sink, Length: 16}, Remote: RemoteAddr{RKey: 9999}}, false},
+		{"no sink", WR{Op: OpRead, Remote: RemoteAddr{RKey: src.RKey()}}, false},
+	}
+	for i, tc := range cases {
+		tc.wr.WRID = uint64(i)
+		if err := qpA.PostSend(tc.wr); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		wc, ok := cqA.Wait(time.Second)
+		if !ok || wc.WRID != uint64(i) {
+			t.Fatalf("%s: completion %+v, %v", tc.name, wc, ok)
+		}
+		if tc.ok && (wc.Status != StatusOK || wc.Bytes != 16) {
+			t.Fatalf("%s: %+v", tc.name, wc)
+		}
+		if !tc.ok && (wc.Status != StatusErr || wc.Err == nil || wc.Bytes != 0) {
+			t.Fatalf("%s: completed %+v, want StatusErr", tc.name, wc)
+		}
+	}
+	// Only the in-bounds READ moved anything.
+	got := make([]byte, 32)
+	if err := sink.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, 32)
+	copy(want[8:24], bytes.Repeat([]byte{7}, 16))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sink = %v", got)
+	}
+}

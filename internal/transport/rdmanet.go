@@ -8,8 +8,8 @@ import (
 )
 
 // RDMANetwork connects workers through the emulated RDMA verbs channels of
-// internal/rdma: kernel-bypass, ring memory regions, and MMS/WTL batching —
-// Whale's data path. Each worker owns one endpoint (device); channels are
+// internal/rdma: kernel-bypass, ring memory regions, and opportunistic
+// batching bounded by MMS and WTL — Whale's data path. Each worker owns one endpoint (device); channels are
 // dialed lazily per destination.
 type RDMANetwork struct {
 	fabric *rdma.Fabric
@@ -55,6 +55,10 @@ func (n *RDMANetwork) Register(id WorkerID, h Handler) (Transport, error) {
 			t.stats.BytesRecv.Add(int64(len(msg)))
 			t.handler(from, msg)
 		})
+		// Its own lock: a worker dialing itself runs this hook under t.mu.
+		t.acceptMu.Lock()
+		t.accepted = append(t.accepted, ch)
+		t.acceptMu.Unlock()
 	})
 	n.workers[id] = t
 	return t, nil
@@ -97,12 +101,16 @@ type rdmaTransport struct {
 	mu    sync.Mutex
 	chans map[WorkerID]*rdma.Channel
 
+	acceptMu sync.Mutex
+	accepted []*rdma.Channel // receiving halves, for their poll counters
+
 	stats     Stats
 	closeOnce sync.Once
 }
 
 // Send implements Transport. The message lands in the channel's pending
-// batch; the channel flushes on MMS or WTL.
+// batch, which leaves with the call if the link is free and as soon as it
+// comes free otherwise (MMS and WTL bound the wait).
 func (t *rdmaTransport) Send(to WorkerID, payload []byte) error {
 	ch, err := t.chanTo(to)
 	if err != nil {
@@ -165,20 +173,20 @@ func (t *rdmaTransport) Pressure(to WorkerID) int {
 	return ch.PressurePct()
 }
 
-// ChannelStats aggregates the underlying rdma channel counters (for the
-// MMS/WTL microbenchmarks).
+// ChannelStats aggregates the underlying rdma channel counters: the send
+// side of the channels this worker dialed, the receive side (poll counts
+// and time) of those it accepted.
 func (t *rdmaTransport) ChannelStats() rdma.StatsSnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var agg rdma.StatsSnapshot
+	t.mu.Lock()
 	for _, ch := range t.chans {
-		s := ch.Stats()
-		agg.MsgsSent += s.MsgsSent
-		agg.BytesSent += s.BytesSent
-		agg.WorkRequests += s.WorkRequests
-		agg.SizeFlushes += s.SizeFlushes
-		agg.TimerFlushes += s.TimerFlushes
-		agg.BlockedNS += s.BlockedNS
+		agg.Add(ch.Stats())
+	}
+	t.mu.Unlock()
+	t.acceptMu.Lock()
+	defer t.acceptMu.Unlock()
+	for _, ch := range t.accepted {
+		agg.Add(ch.Stats())
 	}
 	return agg
 }

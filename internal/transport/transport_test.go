@@ -222,20 +222,36 @@ func TestRDMAChannelStatsAggregation(t *testing.T) {
 	net := NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{MMS: 1 << 10, WTL: time.Millisecond})
 	defer net.Close()
 	sink := newCollector()
-	net.Register(0, sink.handler)
+	// The receiver sits in the first message until everything is sent, so
+	// the link is busy and the rest batch up to MMS whatever the timing.
+	gate := make(chan struct{})
+	net.Register(0, func(from WorkerID, payload []byte) {
+		<-gate
+		sink.handler(from, payload)
+	})
 	tr, _ := net.Register(1, func(WorkerID, []byte) {})
 	rt := tr.(*rdmaTransport)
 	for i := 0; i < 100; i++ {
 		tr.Send(0, make([]byte, 128))
 	}
 	tr.Flush()
+	close(gate)
 	waitTotal(t, sink, 100)
 	cs := rt.ChannelStats()
 	if cs.MsgsSent != 100 || cs.WorkRequests == 0 {
 		t.Fatalf("channel stats %+v", cs)
 	}
-	if cs.WorkRequests >= 100 {
+	// The first message alone, then eight 132-byte entries per 1 KiB batch.
+	if cs.WorkRequests > 20 {
 		t.Fatalf("no batching: %d WRs", cs.WorkRequests)
+	}
+	if cs.IdleFlushes == 0 || cs.SizeFlushes == 0 {
+		t.Fatalf("flush reasons not aggregated: %+v", cs)
+	}
+	// The receiving worker's side of the same channel.
+	rs := net.workers[0].ChannelStats()
+	if rs.MsgsRecv != 100 || rs.CQPolls == 0 {
+		t.Fatalf("receive-side stats %+v", rs)
 	}
 }
 
