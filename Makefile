@@ -6,9 +6,11 @@
 
 GO ?= go
 
-# What `make loc` and `make loc-gate` count as a mutex field and a rank tag.
+# What `make loc` and `make loc-gate` count as a mutex field, a rank tag and
+# a clock site (a ticker, timer, sleep or timed channel).
 MUTEX_RE = sync\.(RW)?Mutex
 RANK_RE = //whale:lockrank
+CLOCK_RE = time\.(NewTicker|NewTimer|AfterFunc|After|Sleep|Tick)\(
 
 .PHONY: check vet whalevet vet-baseline loc-gate build test race chaos fmt bench perfgate cover cover-gate loc
 
@@ -96,37 +98,45 @@ cover-gate: cover
 
 # Size and concurrency surface per package under internal/ (non-test files
 # only): source lines, sync.Mutex/RWMutex fields, //whale:lockrank tags, `go`
-# statements and time.NewTicker sites, as a markdown table. The quality-of-
-# design trend the ROADMAP asks for: CI appends it to the job summary, and
-# each PR reports its internal/dsps row in CHANGES.md.
+# statements, time.NewTicker sites and clock sites (CLOCK_RE, tickers
+# included), as a markdown table. The quality-of-design trend the ROADMAP
+# asks for: CI appends it to the job summary, and each PR reports the rows
+# it moves in CHANGES.md.
 loc:
-	@printf '| %-32s | %6s | %7s | %9s | %3s | %7s |\n' package lines mutexes lockranks go tickers
-	@printf '|%s|%s|%s|%s|%s|%s|\n' ---------------------------------- -------: --------: ----------: ----: --------:
+	@printf '| %-32s | %6s | %7s | %9s | %3s | %7s | %6s |\n' package lines mutexes lockranks go tickers clocks
+	@printf '|%s|%s|%s|%s|%s|%s|%s|\n' ---------------------------------- -------: --------: ----------: ----: --------: -------:
 	@for d in $$(find internal -type d -not -path '*/testdata*' | sort); do \
 	  f=$$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go'); \
 	  [ -n "$$f" ] || continue; \
-	  printf '| %-32s | %6d | %7d | %9d | %3d | %7d |\n' $$d \
+	  printf '| %-32s | %6d | %7d | %9d | %3d | %7d | %6d |\n' $$d \
 	    $$(cat $$f | wc -l) \
 	    $$(cat $$f | grep -cE '$(MUTEX_RE)') \
 	    $$(cat $$f | grep -c '$(RANK_RE)') \
 	    $$(cat $$f | grep -cE '^[[:space:]]*go[[:space:]]') \
-	    $$(cat $$f | grep -c 'time\.NewTicker('); \
+	    $$(cat $$f | grep -c 'time\.NewTicker(') \
+	    $$(cat $$f | grep -cE '$(CLOCK_RE)'); \
 	done
 
-# Concurrency-surface ceiling against the committed LOC_CEILING.txt: fails
-# when internal/dsps (non-test files, counted as `make loc` counts them) has
-# more mutex fields or //whale:lockrank tags than the ceiling. A new lock in
-# that package is a design decision (DESIGN §8, "How state is shared"):
-# raise the ceiling in the PR that argues for it; lower it when one goes.
+# Ceilings against the committed LOC_CEILING.txt, one `<package> <count>
+# <max>` row each, counted as `make loc` counts them (non-test files): fails
+# when a package has more mutex fields, //whale:lockrank tags or clock sites
+# than its row allows. A new lock in internal/dsps (DESIGN §8, "How state is
+# shared") or a new clock in internal/rdma (DESIGN §11) is a design
+# decision: raise the ceiling in the PR that argues for it; lower it when
+# one goes.
 loc-gate:
-	@f=$$(find internal/dsps -maxdepth 1 -name '*.go' -not -name '*_test.go'); \
-	for row in 'mutexes $(MUTEX_RE)' 'lockranks $(RANK_RE)'; do \
-	  set -- $$row; \
-	  max=$$(awk -v k=$$1 '$$1==k{print $$2}' LOC_CEILING.txt); \
-	  got=$$(cat $$f | grep -cE "$$2"); \
+	@grep -v '^#' LOC_CEILING.txt | while read -r pkg count max; do \
+	  [ -n "$$pkg" ] || continue; \
+	  case $$count in \
+	    mutexes) re='$(MUTEX_RE)' ;; \
+	    lockranks) re='$(RANK_RE)' ;; \
+	    clocks) re='$(CLOCK_RE)' ;; \
+	    *) echo "loc-gate: LOC_CEILING.txt names an unknown count '$$count'" >&2; exit 1 ;; \
+	  esac; \
+	  got=$$(cat $$(find $$pkg -maxdepth 1 -name '*.go' -not -name '*_test.go') | grep -cE "$$re"); \
 	  if [ -z "$$max" ] || [ "$$got" -gt "$$max" ]; then \
-	    echo "loc-gate: internal/dsps has $$got $$1, committed ceiling is $${max:-missing}" >&2; \
+	    echo "loc-gate: $$pkg has $$got $$count, committed ceiling is $${max:-missing}" >&2; \
 	    exit 1; \
 	  fi; \
-	  echo "loc-gate: ok (internal/dsps $$1 $$got <= ceiling $$max)"; \
+	  echo "loc-gate: ok ($$pkg $$count $$got <= ceiling $$max)"; \
 	done

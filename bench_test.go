@@ -33,7 +33,6 @@ func BenchmarkTable2Datasets(b *testing.B)             { benchExperiment(b, "tab
 func BenchmarkFig2StormBottleneck(b *testing.B)        { benchExperiment(b, "fig2") }
 func BenchmarkFig3RDMCBlocking(b *testing.B)           { benchExperiment(b, "fig3") }
 func BenchmarkFig11MMS(b *testing.B)                   { benchExperiment(b, "fig11") }
-func BenchmarkFig12WTL(b *testing.B)                   { benchExperiment(b, "fig12") }
 func BenchmarkFig13RideThroughput(b *testing.B)        { benchExperiment(b, "fig13") }
 func BenchmarkFig14RideLatency(b *testing.B)           { benchExperiment(b, "fig14") }
 func BenchmarkFig15StockThroughput(b *testing.B)       { benchExperiment(b, "fig15") }

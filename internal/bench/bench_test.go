@@ -12,7 +12,7 @@ var raceEnabled bool
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the evaluation must be registered.
 	want := []string{
-		"table2", "fig2", "fig3", "fig11", "fig12",
+		"table2", "fig2", "fig3", "fig11",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
 		"fig21", "fig22", "fig23", "fig24", "fig25", "fig26", "fig27", "fig28",
 		"fig29", "fig30", "fig31", "fig32", "fig33", "fig34",
@@ -133,48 +133,14 @@ func TestFig11MMSShape(t *testing.T) {
 	if !(lastWR < firstWR) {
 		t.Fatalf("work requests did not fall with MMS: %v -> %v", firstWR, lastWR)
 	}
-	// 750 messages at 20k/s take 37 ms: a batch waiting to fill 1 MB (or
-	// for the 50 ms WTL) would put the mean latency near 20 ms.
+	// 750 messages at 20k/s take 37 ms: a batch waiting to fill 1 MB would
+	// put the mean latency near 20 ms.
 	firstLat := cell(t, rep.Rows[0][2])
 	lastLat := cell(t, rep.Rows[len(rep.Rows)-1][2])
 	if lastLat > 20*firstLat && lastLat > 5000 {
 		t.Fatalf("paced latency follows MMS again: %v µs at %s -> %v µs at %s",
 			firstLat, rep.Rows[0][0], lastLat, rep.Rows[len(rep.Rows)-1][0])
 	}
-}
-
-// TestFig12WTLShape: WTL is an upper bound, not a period. With the receiver
-// keeping up, a message leaves when the link is free; its latency stays far
-// below WTL and does not grow with it.
-func TestFig12WTLShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("-short")
-	}
-	if raceEnabled {
-		t.Skip("timing-sensitive microbenchmark; race detector slowdown distorts pacing")
-	}
-	// Scheduler jitter on loaded machines (CPU contention from sibling test
-	// packages) moves sub-millisecond rows by whole milliseconds, so the
-	// bound is generous and a couple of re-runs are allowed. A real semantic
-	// regression — messages sitting out WTL — puts the 30 ms row's mean
-	// near 15 ms on every attempt.
-	var lastLat float64
-	for attempt := 0; attempt < 3; attempt++ {
-		rep, err := Run("fig12", true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last := rep.Rows[len(rep.Rows)-1]
-		lastLat = cell(t, last[2])
-		if last[0] != "30ms" {
-			t.Fatalf("last row is WTL %s", last[0])
-		}
-		if lastLat < 5000 {
-			return
-		}
-		t.Logf("attempt %d: mean latency %v µs under WTL 30ms", attempt+1, lastLat)
-	}
-	t.Fatalf("latency follows WTL again: mean %v µs under WTL 30ms in 3 attempts", lastLat)
 }
 
 // TestFig29VerbsOrdering: one-sided READ sustains at least two-sided's

@@ -58,7 +58,6 @@ func init() {
 	register("fig2", "Storm one-to-many bottleneck: throughput, latency, CPU (Fig. 2a-d)", runFig2)
 	register("fig3", "RDMC under rising input rate: blocking transfer queue (Fig. 3a-b)", runFig3)
 	register("fig11", "Whale performance vs Max Memory Size (Fig. 11)", runFig11)
-	register("fig12", "Whale performance vs Wait Time Limit (Fig. 12)", runFig12)
 	register("fig13", "Ride-hailing throughput vs parallelism (Fig. 13)", throughputSweep(netmodel.Default30Node(), "ride-hailing"))
 	register("fig14", "Ride-hailing processing latency vs parallelism (Fig. 14)", latencySweep(netmodel.Default30Node(), "ride-hailing"))
 	register("fig15", "Stock-exchange throughput vs parallelism (Fig. 15)", throughputSweep(netmodel.StockExchange(), "stock"))

@@ -16,7 +16,6 @@ type microResult struct {
 	meanLatNS    float64
 	p99LatNS     int64
 	workRequests int64
-	timerFlushes int64
 	sizeFlushes  int64
 }
 
@@ -93,7 +92,6 @@ func runChannelMicroCost(cfg rdma.ChannelConfig, cost rdma.CostModel, msgs, msgS
 		meanLatNS:    lat.Mean(),
 		p99LatNS:     lat.Quantile(0.99),
 		workRequests: st.WorkRequests,
-		timerFlushes: st.TimerFlushes,
 		sizeFlushes:  st.SizeFlushes,
 	}, nil
 }
@@ -109,10 +107,7 @@ func runFig11(quick bool) (*Report, error) {
 		Columns: []string{"MMS", "throughput msg/s", "mean latency µs", "p99 µs", "work requests", "size flushes"},
 	}
 	for _, mms := range sizesKB {
-		cfg := rdma.ChannelConfig{
-			Mode: rdma.ModeOneSidedRead, MMS: mms, WTL: 50 * time.Millisecond,
-			RingSize: 8 << 20,
-		}
+		cfg := rdma.ChannelConfig{Mode: rdma.ModeOneSidedRead, MMS: mms, RingSize: 8 << 20}
 		// Throughput: full-speed pumping. The sender outruns the receiver, the
 		// link is never free, and batches close on MMS (larger MMS -> fewer,
 		// larger work requests).
@@ -135,38 +130,6 @@ func runFig11(quick bool) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		"paper Fig. 11: throughput grows with MMS while latency rises sharply past 256KB (buffer fill time); Whale picks MMS=256KB",
 		"deviation: a batch leaves the moment the link is free, so only a saturated sender fills one (work requests column) and paced latency no longer depends on MMS — the knee at 256KB is gone")
-	return rep, nil
-}
-
-func runFig12(quick bool) (*Report, error) {
-	msgs, size := 4000, 512
-	if quick {
-		msgs = 800
-	}
-	wtls := []time.Duration{time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond}
-	rep := &Report{
-		ID: "fig12", Title: "throughput and latency vs WTL (one-sided READ channel)",
-		Columns: []string{"WTL", "throughput msg/s", "mean latency µs", "p99 µs", "timer flushes"},
-	}
-	for _, wtl := range wtls {
-		// A huge MMS isolates the WTL effect: no batch ever fills, so a
-		// message that cannot leave at once leaves when the link comes free
-		// or, at the latest, WTL after its batch opened.
-		res, err := runChannelMicro(rdma.ChannelConfig{
-			Mode: rdma.ModeOneSidedRead, MMS: 64 << 20, WTL: wtl,
-			RingSize: 128 << 20,
-		}, msgs, size, 100_000)
-		if err != nil {
-			return nil, err
-		}
-		rep.Rows = append(rep.Rows, []string{
-			wtl.String(), f0(res.msgsPerSec), us(res.meanLatNS), us(float64(res.p99LatNS)),
-			fmt.Sprint(res.timerFlushes),
-		})
-	}
-	rep.Notes = append(rep.Notes,
-		"paper Fig. 12: latency grows with WTL while throughput dips slightly; Whale picks WTL=1ms",
-		"deviation: WTL is an upper bound on a batch stranded behind a busy link, not the flush period; with the receiver keeping up the timer (almost) never fires and latency does not follow WTL")
 	return rep, nil
 }
 
@@ -197,9 +160,7 @@ func runVerbs(quick bool) (map[string]microResult, error) {
 	}
 	out := map[string]microResult{}
 	for _, m := range verbsModes {
-		cfg := rdma.ChannelConfig{
-			Mode: m.mode, MMS: 64 << 10, WTL: time.Millisecond, RingSize: 16 << 20,
-		}
+		cfg := rdma.ChannelConfig{Mode: m.mode, MMS: 64 << 10, RingSize: 16 << 20}
 		// Throughput: full-speed pumping.
 		res, err := runChannelMicroCost(cfg, cost, msgs, size, 0)
 		if err != nil {

@@ -5,7 +5,7 @@
 //	RDMAStorm        — instance-oriented over basic (two-sided) RDMA verbs
 //	WhaleWOC         — + worker-oriented communication (paper §3.5)
 //	WhaleWOCRDMA     — + optimized RDMA primitives: one-sided READ data
-//	                   path, ring memory region, MMS/WTL slicing (paper §4)
+//	                   path, ring memory region, MMS slicing (paper §4)
 //	WhaleSequential  — WhaleWOCRDMA with sequential (star) multicast, the
 //	                   "sequential multicast" arm of Figs. 17-20
 //	RDMC             — WhaleWOCRDMA with a static binomial multicast tree
@@ -99,12 +99,11 @@ type Options struct {
 	MaxWorkers int
 	// Transport overrides the system's canonical wire.
 	Transport TransportKind
-	// MMS and WTL tune Whale's stream slicing (defaults 256 KiB / 1 ms —
-	// the operating point the paper selects in Figs. 11-12).
+	// MMS bounds Whale's stream slicing (default 256 KiB, the operating
+	// point the paper selects in Fig. 11). A batch below it leaves as soon
+	// as the link is free; the paper's wait-time limit is subsumed by that
+	// rule and has no knob.
 	MMS int
-	WTL time.Duration
-	// RingSize sizes the ring memory region (default 4 MiB).
-	RingSize int
 	// TransferQueueCap is Q (default 1024).
 	TransferQueueCap int
 	// InitialDstar seeds the non-blocking tree (default 3).
@@ -197,12 +196,6 @@ func (o Options) withDefaults() Options {
 	if o.MMS <= 0 {
 		o.MMS = 256 << 10
 	}
-	if o.WTL <= 0 {
-		o.WTL = time.Millisecond
-	}
-	if o.RingSize <= 0 {
-		o.RingSize = 4 << 20
-	}
 	if o.TransferQueueCap <= 0 {
 		o.TransferQueueCap = 1024
 	}
@@ -216,26 +209,16 @@ func (o Options) withDefaults() Options {
 }
 
 // basicRDMAConfig is the unoptimized verbs setup RDMA-Storm and Whale-WOC
-// use: two-sided SEND/RECV, no meaningful batching (tiny MMS, short WTL).
-func basicRDMAConfig(o Options) rdma.ChannelConfig {
-	return rdma.ChannelConfig{
-		Mode:     rdma.ModeTwoSided,
-		MMS:      1 << 10,
-		WTL:      200 * time.Microsecond,
-		RingSize: o.RingSize,
-	}
+// use: two-sided SEND/RECV, no meaningful batching (tiny MMS).
+func basicRDMAConfig() rdma.ChannelConfig {
+	return rdma.ChannelConfig{Mode: rdma.ModeTwoSided, MMS: 1 << 10}
 }
 
 // optimizedRDMAConfig is Whale's tuned data path: one-sided READ with the
 // ring region, batches shipped whenever the link is free and bounded by
-// MMS/WTL slicing (§4).
+// MMS slicing (§4).
 func optimizedRDMAConfig(o Options) rdma.ChannelConfig {
-	return rdma.ChannelConfig{
-		Mode:     rdma.ModeOneSidedRead,
-		MMS:      o.MMS,
-		WTL:      o.WTL,
-		RingSize: o.RingSize,
-	}
+	return rdma.ChannelConfig{Mode: rdma.ModeOneSidedRead, MMS: o.MMS}
 }
 
 // flushWindow is how many flushes flushHook tallies before it names their
@@ -246,20 +229,18 @@ func optimizedRDMAConfig(o Options) rdma.ChannelConfig {
 const flushWindow = 1024
 
 // flushHook counts every RDMA batch flush in the scope's registry by
-// reason (rdma.flushes_mms / _wtl / _idle / _explicit, plus
-// rdma.flush_bytes) and logs an event whenever the dominant flush reason
-// of a window of flushWindow flushes differs from the last window's —
-// idle→mms says the links have filled up, idle→wtl that batches are
-// stranded behind busy ones. rdma.flushes_explicit counts the
-// link-was-free flushes as well as Flush and Close, so that mms + wtl +
-// explicit stays the number of flushes rdma.flush_bytes is spread over;
-// rdma.flushes_idle is that share on its own.
+// reason (rdma.flushes_mms / _idle / _explicit, plus rdma.flush_bytes) and
+// logs an event whenever the dominant flush reason of a window of
+// flushWindow flushes differs from the last window's — idle→mms says the
+// links have filled up. rdma.flushes_explicit counts the link-was-free
+// flushes as well as Flush and Close, so that mms + explicit stays the
+// number of flushes rdma.flush_bytes is spread over; rdma.flushes_idle is
+// that share on its own.
 // The returned func is invoked serially per channel (one flush in flight
 // at a time) with no channel lock held, but it still stays cheap: counter
 // bumps and a rare ring append only.
 func flushHook(scope *obs.Scope) func(rdma.FlushReason, int) {
 	mms := scope.Reg.Counter("rdma.flushes_mms")
-	wtl := scope.Reg.Counter("rdma.flushes_wtl")
 	explicit := scope.Reg.Counter("rdma.flushes_explicit")
 	idle := scope.Reg.Counter("rdma.flushes_idle")
 	bytes := scope.Reg.Counter("rdma.flush_bytes")
@@ -273,8 +254,6 @@ func flushHook(scope *obs.Scope) func(rdma.FlushReason, int) {
 		switch reason {
 		case rdma.FlushMMS:
 			mms.Inc()
-		case rdma.FlushWTL:
-			wtl.Inc()
 		case rdma.FlushIdle:
 			idle.Inc()
 			explicit.Inc()
@@ -324,7 +303,7 @@ func (s System) network(o Options, scope *obs.Scope) (transport.Network, error) 
 	case TransportRDMA:
 		cfg := optimizedRDMAConfig(o)
 		if s == RDMAStorm || s == WhaleWOC {
-			cfg = basicRDMAConfig(o)
+			cfg = basicRDMAConfig()
 		}
 		cfg.OnFlush = flushHook(scope)
 		return transport.NewRDMANetwork(rdma.CostModel{}, cfg), nil

@@ -107,8 +107,8 @@ func TestEverySystemDeliversAllGrouping(t *testing.T) {
 			var counter sync.Map
 			topo := buildAllGroupingTopo(n, &counter, parallelism)
 			opts := Options{
-				Workers: 4,
-				MMS:     8 << 10, WTL: 500 * time.Microsecond,
+				Workers:      4,
+				MMS:          8 << 10,
 				InitialDstar: 2, FixedDstar: sys != Whale,
 			}
 			eng, err := sys.Launch(topo, opts)
@@ -153,10 +153,10 @@ func TestLaunchErrors(t *testing.T) {
 
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.Workers != 4 || o.MMS != 256<<10 || o.WTL != time.Millisecond {
+	if o.Workers != 4 || o.MMS != 256<<10 {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if o.RingSize != 4<<20 || o.TransferQueueCap != 1024 || o.InitialDstar != 3 {
+	if o.TransferQueueCap != 1024 || o.InitialDstar != 3 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.MonitorInterval != 10*time.Millisecond {
@@ -185,17 +185,17 @@ func TestAckingOptionsReachEngine(t *testing.T) {
 
 // TestFlushHookCountsAndLogsDominantReason: every flush is counted under
 // its reason (a link-free flush under rdma.flushes_explicit as well, which
-// keeps mms + wtl + explicit the divisor of rdma.flush_bytes), and the
-// event log hears about the reason only when the majority of a window
-// changes, not whenever two consecutive flushes differ.
+// keeps mms + explicit the divisor of rdma.flush_bytes), and the event log
+// hears about the reason only when the majority of a window changes, not
+// whenever two consecutive flushes differ.
 func TestFlushHookCountsAndLogsDominantReason(t *testing.T) {
 	scope := obs.NewScope(obs.Config{})
 	hook := flushHook(scope)
-	// Two windows of mostly link-free flushes with a stranded batch mixed
-	// in every tenth: hundreds of consecutive-reason changes, no event.
+	// Two windows of mostly link-free flushes with a full batch mixed in
+	// every tenth: hundreds of consecutive-reason changes, no event.
 	for i := 0; i < 2*flushWindow; i++ {
 		if i%10 == 9 {
-			hook(rdma.FlushWTL, 100)
+			hook(rdma.FlushMMS, 1000)
 		} else {
 			hook(rdma.FlushIdle, 100)
 		}
@@ -213,13 +213,12 @@ func TestFlushHookCountsAndLogsDominantReason(t *testing.T) {
 		t.Fatalf("events after a window of size flushes: %+v", evs)
 	}
 	c := scope.Reg.Snapshot().Counters
-	idle, wtl := int64(2*flushWindow*9/10+1), int64(2*flushWindow/10)
+	idle, mms := int64(2*flushWindow*9/10+1), int64(2*flushWindow/10+flushWindow)
 	for name, want := range map[string]int64{
 		"rdma.flushes_idle":     idle,
-		"rdma.flushes_wtl":      wtl,
-		"rdma.flushes_mms":      flushWindow,
+		"rdma.flushes_mms":      mms,
 		"rdma.flushes_explicit": idle + 1,
-		"rdma.flush_bytes":      100*(idle+wtl+1) + 1000*flushWindow,
+		"rdma.flush_bytes":      100*(idle+1) + 1000*mms,
 	} {
 		if c[name] != want {
 			t.Errorf("%s = %d, want %d", name, c[name], want)

@@ -871,16 +871,13 @@ func (e *Engine) registerObs() {
 			r.CounterFunc(prefix+".rdma.bytes_sent", func() int64 { return cs.ChannelStats().BytesSent })
 			r.CounterFunc(prefix+".rdma.work_requests", func() int64 { return cs.ChannelStats().WorkRequests })
 			// size_flushes counts every batch the sender closed itself — full
-			// (MMS) or shipped because the link was free — against
-			// timer_flushes, the batches the WTL clock had to close; their
-			// ratio is the timer-flush share. idle_flushes is the link-free
-			// part on its own.
+			// (MMS) or shipped because the link was free; idle_flushes is
+			// the link-free part on its own.
 			r.CounterFunc(prefix+".rdma.size_flushes", func() int64 {
 				s := cs.ChannelStats()
 				return s.SizeFlushes + s.IdleFlushes
 			})
 			r.CounterFunc(prefix+".rdma.idle_flushes", func() int64 { return cs.ChannelStats().IdleFlushes })
-			r.CounterFunc(prefix+".rdma.timer_flushes", func() int64 { return cs.ChannelStats().TimerFlushes })
 			r.CounterFunc(prefix+".rdma.ring_wait_ns", func() int64 { return cs.ChannelStats().BlockedNS })
 			r.CounterFunc(prefix+".rdma.cq_poll_ns", func() int64 { return cs.ChannelStats().CQPollNS })
 			r.CounterFunc(prefix+".rdma.cq_polls", func() int64 { return cs.ChannelStats().CQPolls })

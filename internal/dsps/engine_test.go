@@ -233,7 +233,7 @@ func (b *funcBolt) Cleanup()                              {}
 // integration tests: fast, small batches so tests drain quickly.
 func rdmaCost() rdma.CostModel { return rdma.CostModel{} }
 func rdmaCfg() rdma.ChannelConfig {
-	return rdma.ChannelConfig{MMS: 8 << 10, WTL: 500 * time.Microsecond}
+	return rdma.ChannelConfig{MMS: 8 << 10}
 }
 
 func TestShuffleGroupingBalances(t *testing.T) {

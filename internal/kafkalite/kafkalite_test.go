@@ -259,13 +259,22 @@ func TestSpoutEndToEndAtLeastOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every record must eventually be processed successfully despite the
-	// first-attempt failures (at-least-once via Fail -> requeue).
+	// first-attempt failures (at-least-once via Fail -> requeue), and its
+	// offset committed: a fresh consumer in the same group starts at the
+	// end. The commit follows the last ack, which follows the bolt's
+	// Execute, so wait for both.
+	committed := func() (n int64) {
+		for p := 0; p < 3; p++ {
+			n += b.CommittedOffset("g1", "orders", p)
+		}
+		return n
+	}
 	deadline := time.Now().Add(20 * time.Second)
 	for time.Now().Before(deadline) {
 		flaky.mu.Lock()
 		n := len(flaky.done)
 		flaky.mu.Unlock()
-		if n >= records {
+		if n >= records && committed() >= records {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -282,12 +291,7 @@ func TestSpoutEndToEndAtLeastOnce(t *testing.T) {
 			t.Fatalf("record %d was not redelivered (seen %d)", seq, n)
 		}
 	}
-	// Offsets committed: a fresh consumer in the same group starts at the end.
-	committed := int64(0)
-	for p := 0; p < 3; p++ {
-		committed += b.CommittedOffset("g1", "orders", p)
-	}
-	if committed != records {
+	if committed := committed(); committed != records {
 		t.Fatalf("committed %d of %d offsets", committed, records)
 	}
 }

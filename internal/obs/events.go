@@ -19,9 +19,8 @@ const (
 	EventSwitchSkipped = "switch-skipped"
 	// EventSwitchComplete: every member ACKed and the new tree activated.
 	EventSwitchComplete = "switch-complete"
-	// EventFlushReason: the RDMA channels' flush trigger changed — between
-	// idle (the link was free), MMS (batch full), WTL (stranded behind a
-	// busy link until the timer) and explicit.
+	// EventFlushReason: the RDMA channels' dominant flush trigger changed —
+	// between idle (the link was free), MMS (batch full) and explicit.
 	EventFlushReason = "flush-reason"
 	// EventWorkerSuspect: the failure detector saw no traffic from a worker
 	// for the suspicion timeout. Worker carries the suspect's id.

@@ -26,7 +26,7 @@ const (
 	// in the active multicast tree.
 	StageTreeHop Stage = "tree_hop"
 	// StageRDMASlice is one transport send: the tuple entering a channel's
-	// pending batch (MMS/WTL slicing) toward one destination worker.
+	// pending batch (MMS slicing) toward one destination worker.
 	StageRDMASlice Stage = "rdma_slice"
 	// StageDispatch is the receiving worker's dispatcher decoding the
 	// message and enqueueing it to local executors.

@@ -69,10 +69,10 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 	}
 
 	cfg := e.cfg
-	bell := make(chan struct{}, 1)
-	send := &Channel{cfg: cfg, local: e.Name(), remote: remote, bell: bell,
+	bell, room := make(chan struct{}, 1), make(chan struct{}, 1)
+	send := &Channel{cfg: cfg, local: e.Name(), remote: remote, bell: bell, room: room,
 		done: make(chan struct{}), flushSem: make(chan struct{}, 1)}
-	recv := &Channel{cfg: cfg, local: remote, remote: e.Name(), bell: bell,
+	recv := &Channel{cfg: cfg, local: remote, remote: e.Name(), bell: bell, room: room,
 		done: make(chan struct{}), flushSem: make(chan struct{}, 1)}
 	send.peer, recv.peer = recv, send
 
@@ -92,8 +92,8 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 		if err != nil {
 			return nil, err
 		}
-		rcq := NewCQ(cfg.QPDepth)
-		rqp := CreateQP(re.pd, rcq, NewCQ(1), QPCap{SendDepth: cfg.QPDepth})
+		rcq := NewCQ(qpDepth)
+		rqp := CreateQP(re.pd, rcq, NewCQ(1), QPCap{SendDepth: qpDepth})
 		sqp := CreateQP(e.pd, NewCQ(1), NewCQ(1), QPCap{})
 		if err := ConnectPair(sqp, rqp); err != nil {
 			return nil, err
@@ -109,13 +109,13 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 		go recv.recvLoopRead()
 
 	case ModeTwoSided:
-		scq := NewCQ(cfg.QPDepth)
-		sqp := CreateQP(e.pd, scq, NewCQ(1), QPCap{SendDepth: cfg.QPDepth})
-		rcq := NewCQ(cfg.QPDepth)
+		scq := NewCQ(qpDepth)
+		sqp := CreateQP(e.pd, scq, NewCQ(1), QPCap{SendDepth: qpDepth})
+		rcq := NewCQ(qpDepth)
 		// Receive slots sized for a full batch: MMS plus one max message
 		// overshoot margin.
 		slotSize := cfg.MMS * 2
-		nslots := cfg.QPDepth
+		nslots := qpDepth
 		slots, err := RegisterMemory(re.pd, slotSize*nslots, AccessLocalWrite)
 		if err != nil {
 			return nil, err
@@ -131,7 +131,7 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 			}
 		}
 		send.sqp, send.scq = sqp, scq
-		send.inflight = make(chan struct{}, cfg.QPDepth)
+		send.inflight = make(chan struct{}, qpDepth)
 		recv.rqp, recv.rcq = rqp, rcq
 		recv.slots, recv.slotSize, recv.nslots = slots, slotSize, nslots
 		acceptFn(e.Name(), recv)
@@ -156,8 +156,8 @@ func (e *Endpoint) Dial(remote string) (*Channel, error) {
 		if err != nil {
 			return nil, err
 		}
-		scq := NewCQ(cfg.QPDepth)
-		sqp := CreateQP(e.pd, scq, NewCQ(1), QPCap{SendDepth: cfg.QPDepth})
+		scq := NewCQ(qpDepth)
+		sqp := CreateQP(e.pd, scq, NewCQ(1), QPCap{SendDepth: qpDepth})
 		rcq := NewCQ(1)
 		rqp := CreateQP(re.pd, rcq, NewCQ(1), QPCap{})
 		if err := ConnectPair(sqp, rqp); err != nil {

@@ -3,8 +3,8 @@
 // WhaleRDMAChannel artifact). It provides protection domains, registered
 // memory regions, reliably-connected queue pairs, completion queues, the
 // two-sided SEND/RECV and one-sided READ/WRITE operations, a ring memory
-// region for sequential zero-copy style access, and a message Channel with
-// Whale's stream slicing (MMS) and wait-time-limit (WTL) batching.
+// region for sequential zero-copy style access, and a message Channel that
+// batches whenever the link is busy, bounded by Whale's stream slicing (MMS).
 //
 // The emulation substitutes for InfiniBand RNIC hardware (see DESIGN.md):
 // a per-QP "RNIC engine" goroutine executes posted work requests in order

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -124,15 +125,42 @@ func (c *CQ) Poll(max int) []WC {
 	return out
 }
 
-// waitTimers recycles the timeout timers of CQ.Wait. Ring polls call Wait
-// several times per poll interval with a ten-second bound that almost never
-// fires; a time.After per call leaves each of those timers live until it
-// expires.
-var waitTimers = sync.Pool{New: func() any {
+// timerPool recycles the timers of the package's bounded waits: CQ.Wait, a
+// SEND waiting for a receive buffer, a flusher waiting for room. Their
+// bounds are seconds long and almost never fire; a time.After per wait
+// leaves each of those timers live until it expires. Every such wait tries
+// the non-blocking case first, so a timer is taken only by a wait that
+// blocks; armed counts them.
+type timerPool struct {
+	pool  sync.Pool
+	armed atomic.Int64
+}
+
+var waitTimers = timerPool{pool: sync.Pool{New: func() any {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
 	return t
-}}
+}}}
+
+// get takes a pooled timer and starts it.
+func (p *timerPool) get(d time.Duration) *time.Timer {
+	p.armed.Add(1)
+	t := p.pool.Get().(*time.Timer)
+	t.Reset(d)
+	return t
+}
+
+// put stops t and pools it again with an empty channel.
+func (p *timerPool) put(t *time.Timer) {
+	if !t.Stop() {
+		// It fired, and its tick may still be waiting: drain it.
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	p.pool.Put(t)
+}
 
 // Wait blocks until one completion arrives or the timeout elapses; ok is
 // false on timeout. A completion that is already there is returned without
@@ -143,22 +171,24 @@ func (c *CQ) Wait(timeout time.Duration) (WC, bool) {
 		return wc, true
 	default:
 	}
-	t := waitTimers.Get().(*time.Timer)
-	t.Reset(timeout)
+	t := waitTimers.get(timeout)
+	defer waitTimers.put(t)
 	select {
 	case wc := <-c.ch:
-		if !t.Stop() {
-			// Fired while the completion arrived: drain, so the pooled timer
-			// comes back with an empty channel.
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		waitTimers.Put(t)
 		return wc, true
 	case <-t.C:
-		waitTimers.Put(t)
+		return WC{}, false
+	}
+}
+
+// next blocks until a completion arrives, or reports false once done is
+// closed. It is the wait of a goroutine that owns the CQ for the life of a
+// channel, which needs no timer: closing done is how it stops.
+func (c *CQ) next(done <-chan struct{}) (WC, bool) {
+	select {
+	case wc := <-c.ch:
+		return wc, true
+	case <-done:
 		return WC{}, false
 	}
 }
@@ -189,11 +219,6 @@ type WR struct {
 	Inline []byte
 }
 
-// recvSlot is a posted receive awaiting a peer SEND.
-type recvSlot struct {
-	wr WR
-}
-
 // QP is a reliably-connected queue pair. Work requests post without
 // blocking (up to the send-queue depth) and execute in order on the QP's
 // engine goroutine, which is the emulated RNIC.
@@ -203,7 +228,7 @@ type QP struct {
 	sendCQ  *CQ
 	recvCQ  *CQ
 	sq      chan WR
-	rq      chan recvSlot
+	rq      chan WR // posted receives awaiting a peer SEND
 	remote  *QP
 	mu      sync.Mutex
 	started bool
@@ -242,7 +267,7 @@ func CreateQP(pd *PD, sendCQ, recvCQ *CQ, cap QPCap) *QP {
 		sendCQ: sendCQ,
 		recvCQ: recvCQ,
 		sq:     make(chan WR, cap.SendDepth),
-		rq:     make(chan recvSlot, cap.RecvDepth),
+		rq:     make(chan WR, cap.RecvDepth),
 		done:   make(chan struct{}),
 	}
 }
@@ -325,7 +350,7 @@ func (q *QP) PostRecv(wr WR) error {
 		return fmt.Errorf("rdma: MR and QP protection domains differ")
 	}
 	select {
-	case q.rq <- recvSlot{wr: wr}:
+	case q.rq <- wr:
 		return nil
 	default:
 		return fmt.Errorf("rdma: QP %d %w", q.num, ErrRQFull)
@@ -394,8 +419,8 @@ func (q *QP) flushSQ() {
 func (q *QP) flushRQ() {
 	for {
 		select {
-		case slot := <-q.rq:
-			q.recvCQ.push(WC{WRID: slot.wr.WRID, Op: OpRecv, Status: StatusFlush})
+		case recv := <-q.rq:
+			q.recvCQ.push(WC{WRID: recv.WRID, Op: OpRecv, Status: StatusFlush})
 		default:
 			return
 		}
@@ -427,36 +452,50 @@ func (q *QP) execSend(wr WR, cost CostModel) {
 		return
 	}
 	peer := q.remote
-	var slot recvSlot
-	select {
-	case slot = <-peer.rq:
-	case <-time.After(cost.rnrTimeout()):
-		q.sendCQ.push(WC{WRID: wr.WRID, Op: OpSend, Status: StatusRNR,
-			Err: fmt.Errorf("rdma: peer QP %d receiver not ready", peer.num)})
-		return
-	case <-q.done:
-		q.sendCQ.push(WC{WRID: wr.WRID, Op: OpSend, Status: StatusFlush})
-		return
-	case <-peer.done:
-		q.sendCQ.push(WC{WRID: wr.WRID, Op: OpSend, Status: StatusErr,
-			Err: fmt.Errorf("rdma: peer QP %d closed", peer.num)})
+	recv, st, err := q.takeRecv(cost.rnrTimeout())
+	if st != StatusOK {
+		q.sendCQ.push(WC{WRID: wr.WRID, Op: OpSend, Status: st, Err: err})
 		return
 	}
-	if slot.wr.Local.MR == nil || slot.wr.Local.Length < len(data) {
-		err := fmt.Errorf("rdma: receive buffer too small (%d < %d)", slot.wr.Local.Length, len(data))
+	if recv.Local.MR == nil || recv.Local.Length < len(data) {
+		err := fmt.Errorf("rdma: receive buffer too small (%d < %d)", recv.Local.Length, len(data))
 		q.sendCQ.push(WC{WRID: wr.WRID, Op: OpSend, Status: StatusErr, Err: err})
-		peer.recvCQ.push(WC{WRID: slot.wr.WRID, Op: OpRecv, Status: StatusErr, Err: err})
+		peer.recvCQ.push(WC{WRID: recv.WRID, Op: OpRecv, Status: StatusErr, Err: err})
 		return
 	}
-	if err := slot.wr.Local.MR.WriteAt(data, slot.wr.Local.Offset); err != nil {
+	if err := recv.Local.MR.WriteAt(data, recv.Local.Offset); err != nil {
 		q.sendCQ.push(WC{WRID: wr.WRID, Op: OpSend, Status: StatusErr, Err: err})
-		peer.recvCQ.push(WC{WRID: slot.wr.WRID, Op: OpRecv, Status: StatusErr, Err: err})
+		peer.recvCQ.push(WC{WRID: recv.WRID, Op: OpRecv, Status: StatusErr, Err: err})
 		return
 	}
 	// Completing the peer's receive from the sender's engine keeps receive
 	// completions in send order — the RC ordering guarantee.
-	peer.recvCQ.push(WC{WRID: slot.wr.WRID, Op: OpRecv, Status: StatusOK, Bytes: len(data)})
+	peer.recvCQ.push(WC{WRID: recv.WRID, Op: OpRecv, Status: StatusOK, Bytes: len(data)})
 	q.sendCQ.push(WC{WRID: wr.WRID, Op: OpSend, Status: StatusOK, Bytes: len(data)})
+}
+
+// takeRecv takes the peer's next posted receive. One that is already there
+// is taken without arming a timer; otherwise it waits up to the RNR timeout,
+// or until either queue pair closes.
+func (q *QP) takeRecv(rnr time.Duration) (WR, Status, error) {
+	peer := q.remote
+	select {
+	case recv := <-peer.rq:
+		return recv, StatusOK, nil
+	default:
+	}
+	t := waitTimers.get(rnr)
+	defer waitTimers.put(t)
+	select {
+	case recv := <-peer.rq:
+		return recv, StatusOK, nil
+	case <-t.C:
+		return WR{}, StatusRNR, fmt.Errorf("rdma: peer QP %d receiver not ready", peer.num)
+	case <-q.done:
+		return WR{}, StatusFlush, nil
+	case <-peer.done:
+		return WR{}, StatusErr, fmt.Errorf("rdma: peer QP %d closed", peer.num)
+	}
 }
 
 func (q *QP) execWrite(wr WR) {

@@ -56,14 +56,22 @@ func (r *Ring) MR() *MR { return r.mr }
 // DataSize returns the usable data-area size.
 func (r *Ring) DataSize() int { return r.size }
 
-// refreshTail re-reads the tail counter, which the consumer advances.
+// refreshTail re-reads the tail counter, which the consumer advances. The
+// cached copy only moves forward: a reader that read an older tail and
+// stores it late must not take back the room a flusher has just seen, for
+// the flusher would then wait for a tail feedback that never comes.
 func (r *Ring) refreshTail() error {
 	var b [8]byte
 	if err := r.mr.ReadAt(b[:], ringTailOff); err != nil {
 		return err
 	}
-	r.tail.Store(binary.LittleEndian.Uint64(b[:]))
-	return nil
+	tail := binary.LittleEndian.Uint64(b[:])
+	for {
+		old := r.tail.Load()
+		if old >= tail || r.tail.CompareAndSwap(old, tail) {
+			return nil
+		}
+	}
 }
 
 // Occupancy returns the bytes currently published but not yet known to be
@@ -246,7 +254,7 @@ func (rr *RemoteRing) readRemote(stageOff, off, n int, cq *CQ) error {
 	if err != nil {
 		return err
 	}
-	wc, ok := cq.Wait(rnrWait)
+	wc, ok := cq.Wait(blockTimeout)
 	if !ok {
 		return fmt.Errorf("rdma: READ completion timed out")
 	}
@@ -318,7 +326,7 @@ func (rr *RemoteRing) Poll(cq *CQ, fn func(frame []byte)) (int, error) {
 	}); err != nil {
 		return count, err
 	}
-	wc, ok := cq.Wait(rnrWait)
+	wc, ok := cq.Wait(blockTimeout)
 	if !ok || wc.Status != StatusOK {
 		return count, fmt.Errorf("rdma: tail WRITE failed: %+v", wc)
 	}

@@ -89,6 +89,37 @@ func TestRingTailFeedbackFreesSpace(t *testing.T) {
 	}
 }
 
+// TestRingCachedTailNeverMovesBack: a pressure reader that read the tail
+// word before the consumer advanced it, and stores what it read after a
+// flusher refreshed, must not shrink the room the flusher saw: the flusher
+// would park for a tail feedback that is not coming.
+func TestRingCachedTailNeverMovesBack(t *testing.T) {
+	prod, cons, cq := ringPair(t, 16+128)
+	frame := make([]byte, 50)
+	for i := 0; i < 2; i++ {
+		if err := prod.Append(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := cons.Poll(cq, func([]byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	if free, err := prod.Free(); err != nil || free != 128 {
+		t.Fatalf("free after consume = %d, %v; want 128", free, err)
+	}
+	// The slow reader's view of the tail word: before the consume.
+	var stale [8]byte
+	if err := prod.mr.WriteAt(stale[:], ringTailOff); err != nil {
+		t.Fatal(err)
+	}
+	if occ := prod.Occupancy(); occ != 0 {
+		t.Fatalf("occupancy %d after a stale tail read, want 0", occ)
+	}
+	if err := prod.Append(make([]byte, 120)); err != nil {
+		t.Fatalf("append into the room already seen: %v", err)
+	}
+}
+
 func TestRingWrapAround(t *testing.T) {
 	prod, cons, cq := ringPair(t, 16+256)
 	r := rand.New(rand.NewSource(5))

@@ -349,7 +349,7 @@ func TestCQWaitReadyPathAllocatesNothing(t *testing.T) {
 	cq := NewCQ(1)
 	ready := testing.AllocsPerRun(200, func() {
 		cq.push(WC{WRID: 1})
-		if _, ok := cq.Wait(rnrWait); !ok {
+		if _, ok := cq.Wait(blockTimeout); !ok {
 			t.Fatal("queued completion not returned")
 		}
 	})
@@ -362,7 +362,7 @@ func TestCQWaitReadyPathAllocatesNothing(t *testing.T) {
 			time.Sleep(time.Millisecond)
 			cq.push(WC{WRID: 2})
 		}()
-		if wc, ok := cq.Wait(rnrWait); !ok || wc.WRID != 2 {
+		if wc, ok := cq.Wait(blockTimeout); !ok || wc.WRID != 2 {
 			t.Fatalf("blocked wait = %+v, %v", wc, ok)
 		}
 	}

@@ -9,8 +9,8 @@ import (
 
 // RDMANetwork connects workers through the emulated RDMA verbs channels of
 // internal/rdma: kernel-bypass, ring memory regions, and opportunistic
-// batching bounded by MMS and WTL — Whale's data path. Each worker owns one endpoint (device); channels are
-// dialed lazily per destination.
+// batching bounded by MMS — Whale's data path. Each worker owns one
+// endpoint (device); channels are dialed lazily per destination.
 type RDMANetwork struct {
 	fabric *rdma.Fabric
 	cfg    rdma.ChannelConfig
@@ -110,7 +110,7 @@ type rdmaTransport struct {
 
 // Send implements Transport. The message lands in the channel's pending
 // batch, which leaves with the call if the link is free and as soon as it
-// comes free otherwise (MMS and WTL bound the wait).
+// comes free otherwise (or once it reaches MMS).
 func (t *rdmaTransport) Send(to WorkerID, payload []byte) error {
 	ch, err := t.chanTo(to)
 	if err != nil {

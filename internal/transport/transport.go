@@ -5,7 +5,7 @@
 //   - real TCP over loopback (the kernel network stack the paper's Storm
 //     baseline pays for),
 //   - the emulated RDMA verbs channel of internal/rdma (kernel-bypass, ring
-//     memory region, MMS/WTL batching — the Whale data path).
+//     memory region, MMS-bounded batching — the Whale data path).
 //
 // A Network wires up one Transport per worker; a Transport sends opaque
 // payloads to peer workers and delivers inbound payloads to the handler

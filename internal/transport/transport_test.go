@@ -16,13 +16,13 @@ func networks() map[string]func() Network {
 		"inproc": func() Network { return NewInprocNetwork(0) },
 		"tcp":    func() Network { return NewTCPNetwork() },
 		"rdma-read": func() Network {
-			return NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{MMS: 8 << 10, WTL: time.Millisecond})
+			return NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{MMS: 8 << 10})
 		},
 		"rdma-twosided": func() Network {
-			return NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{Mode: rdma.ModeTwoSided, MMS: 8 << 10, WTL: time.Millisecond})
+			return NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{Mode: rdma.ModeTwoSided, MMS: 8 << 10})
 		},
 		"rdma-write": func() Network {
-			return NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{Mode: rdma.ModeOneSidedWrite, MMS: 8 << 10, WTL: time.Millisecond})
+			return NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{Mode: rdma.ModeOneSidedWrite, MMS: 8 << 10})
 		},
 	}
 }
@@ -219,7 +219,7 @@ func TestPayloadCopiedBeforeReturn(t *testing.T) {
 }
 
 func TestRDMAChannelStatsAggregation(t *testing.T) {
-	net := NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{MMS: 1 << 10, WTL: time.Millisecond})
+	net := NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{MMS: 1 << 10})
 	defer net.Close()
 	sink := newCollector()
 	// The receiver sits in the first message until everything is sent, so

@@ -2,7 +2,7 @@
 // Partitioning in RDMA-Assisted Distributed Stream Processing Systems"
 // (SC '21): a Storm-like stream processing engine whose one-to-many (all
 // grouping) data partitioning runs over worker-oriented communication, an
-// emulated RDMA verbs transport with ring memory regions and MMS/WTL
+// emulated RDMA verbs transport with ring memory regions and MMS-bounded
 // stream slicing, and a self-adjusting non-blocking multicast tree.
 //
 // The public API mirrors the Storm programming model: build a Topology of
@@ -146,7 +146,7 @@ const (
 	// SystemWhaleWOC adds worker-oriented communication.
 	SystemWhaleWOC = core.WhaleWOC
 	// SystemWhaleWOCRDMA adds the optimized RDMA primitives (one-sided
-	// READ, ring memory region, MMS/WTL).
+	// READ, ring memory region, MMS slicing).
 	SystemWhaleWOCRDMA = core.WhaleWOCRDMA
 	// SystemWhaleSequential is WhaleWOCRDMA under star multicast.
 	SystemWhaleSequential = core.WhaleSequential

@@ -48,7 +48,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 	cluster, err := whale.Run(topo, whale.SystemWhale, whale.Options{
 		Workers: 3, InitialDstar: 2,
-		MMS: 4 << 10, WTL: 500 * time.Microsecond,
+		MMS: 4 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
