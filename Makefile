@@ -1,6 +1,6 @@
 # Standard checks for the Whale reproduction. `make check` is what CI (and
 # reviewers) run: vet, whalevet (the project-specific analyzers), the
-# internal/dsps lock-count ceiling, build, the full test suite, a full-repo
+# internal/dsps lock-count ceiling, the tuple-accessor gate, build, the full test suite, a full-repo
 # race pass (slow simulation tests skip under -short, keeping the race gate
 # to a few minutes), and the seeded chaos soak.
 
@@ -12,9 +12,9 @@ MUTEX_RE = sync\.(RW)?Mutex
 RANK_RE = //whale:lockrank
 CLOCK_RE = time\.(NewTicker|NewTimer|AfterFunc|After|Sleep|Tick)\(
 
-.PHONY: check vet whalevet vet-baseline loc-gate build test race chaos fmt bench perfgate cover cover-gate loc
+.PHONY: check vet whalevet vet-baseline loc-gate values-gate build test race chaos fmt bench perfgate cover cover-gate loc
 
-check: vet whalevet vet-baseline loc-gate build test race chaos
+check: vet whalevet vet-baseline loc-gate values-gate build test race chaos
 
 vet:
 	$(GO) vet ./...
@@ -140,3 +140,19 @@ loc-gate:
 	  fi; \
 	  echo "loc-gate: ok ($$pkg $$count $$got <= ceiling $$max)"; \
 	done
+
+# A received tuple keeps its fields as wire bytes and leaves Values nil
+# (internal/tuple's package doc), so code outside internal/tuple reads fields
+# through the accessors. Fails on any `.Values` selector in a non-test file
+# outside internal/tuple and internal/analyzers (whose go/ast ValueSpec.Values
+# is another thing). Building a tuple with a `Values:` key is not a selector
+# and stays allowed.
+values-gate:
+	@hits=$$(find . -path './.*' -prune -o -name '*.go' -not -name '*_test.go' -print | \
+	  grep -vE '^\./internal/(tuple|analyzers)/' | xargs grep -nE '\.Values\b'); \
+	if [ -n "$$hits" ]; then \
+	  echo "values-gate: read tuple fields through the accessors, not Values:" >&2; \
+	  echo "$$hits" >&2; \
+	  exit 1; \
+	fi; \
+	echo "values-gate: ok (no Values reads outside internal/tuple)"

@@ -71,7 +71,7 @@ func (b *ackingBolt) Execute(tp *tuple.Tuple, c *Collector) {
 		return
 	}
 	if b.forward {
-		c.Emit(tp.Values...)
+		c.Emit(tp.Fields()...)
 	}
 }
 func (b *ackingBolt) Cleanup() {}

@@ -2,8 +2,6 @@ package dsps
 
 import (
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sort"
 
 	"whale/internal/tuple"
@@ -171,6 +169,7 @@ type route struct {
 type router struct {
 	routes  map[string][]route // stream -> outgoing edges
 	shuffle map[string]int     // per dstOp round-robin cursor
+	dests   []destination      // destinations' result, reused by the next call
 }
 
 func newRouter(t *Topology, a *Assignment, srcOp string, localWorker int32) *router {
@@ -208,10 +207,12 @@ type destination struct {
 }
 
 // destinations computes, for one emitted tuple on stream, every edge's
-// destinations.
+// destinations. The result is the router's scratch: it is valid until the
+// next call, which the executor owning the router makes only after it has
+// routed this tuple.
 func (r *router) destinations(stream string, tp *tuple.Tuple) ([]destination, error) {
 	routes := r.routes[stream]
-	out := make([]destination, 0, len(routes))
+	out := r.dests[:0]
 	for _, rt := range routes {
 		switch rt.sub.Type {
 		case ShuffleGrouping:
@@ -219,10 +220,10 @@ func (r *router) destinations(stream string, tp *tuple.Tuple) ([]destination, er
 			r.shuffle[rt.dstOp]++
 			out = append(out, destination{dstOp: rt.dstOp, tasks: rt.dstTasks[i : i+1]})
 		case FieldsGrouping:
-			if rt.sub.FieldIdx >= len(tp.Values) {
-				return nil, fmt.Errorf("dsps: fields grouping on field %d of %d-field tuple", rt.sub.FieldIdx, len(tp.Values))
+			if rt.sub.FieldIdx >= tp.Len() {
+				return nil, fmt.Errorf("dsps: fields grouping on field %d of %d-field tuple", rt.sub.FieldIdx, tp.Len())
 			}
-			i := int(SlotOf(tp.Values[rt.sub.FieldIdx])) % len(rt.dstTasks)
+			i := int(tp.HashField(rt.sub.FieldIdx)%NumSlots) % len(rt.dstTasks)
 			out = append(out, destination{dstOp: rt.dstOp, tasks: rt.dstTasks[i : i+1]})
 		case AllGrouping:
 			out = append(out, destination{dstOp: rt.dstOp, all: true, tasks: rt.dstTasks})
@@ -240,6 +241,7 @@ func (r *router) destinations(stream string, tp *tuple.Tuple) ([]destination, er
 			return nil, fmt.Errorf("dsps: unknown grouping %v", rt.sub.Type)
 		}
 	}
+	r.dests = out
 	return out, nil
 }
 
@@ -255,37 +257,8 @@ func (r *router) destinations(stream string, tp *tuple.Tuple) ([]destination, er
 const NumSlots = 64
 
 // SlotOf returns the key-grouping slot for one field value, in [0, NumSlots).
+// The router computes the same slot from a tuple's field without boxing it
+// (tuple.HashField).
 func SlotOf(v tuple.Value) int32 {
-	return int32(hashValue(v) % NumSlots)
-}
-
-// hashValue hashes one field value for key grouping.
-func hashValue(v tuple.Value) uint64 {
-	h := fnv.New64a()
-	switch x := v.(type) {
-	case int64:
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(x >> (8 * i))
-		}
-		h.Write(b[:])
-	case float64:
-		bits := math.Float64bits(x)
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(bits >> (8 * i))
-		}
-		h.Write(b[:])
-	case string:
-		h.Write([]byte(x))
-	case []byte:
-		h.Write(x)
-	case bool:
-		if x {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
-		}
-	}
-	return h.Sum64()
+	return int32(tuple.HashValue(v) % NumSlots)
 }

@@ -24,7 +24,7 @@ type orderBolt struct {
 func (b *orderBolt) Prepare(*TaskContext) {}
 func (b *orderBolt) Cleanup()             {}
 func (b *orderBolt) Execute(tp *tuple.Tuple, _ *Collector) {
-	seq := tp.Values[0].(int64)
+	seq := tp.Int(0)
 	if seq < b.last {
 		b.inverted.Add(1)
 	}

@@ -104,7 +104,7 @@ type forwardBolt struct{}
 
 func (forwardBolt) Prepare(*TaskContext) {}
 func (forwardBolt) Execute(tp *tuple.Tuple, c *Collector) {
-	c.Emit(tp.Values...)
+	c.Emit(tp.Fields()...)
 }
 func (forwardBolt) Cleanup() {}
 

@@ -145,8 +145,12 @@ type flowLink struct {
 	fc  *flowControl
 	dst int32
 
-	mu      sync.Mutex //whale:lockrank 30
+	mu sync.Mutex //whale:lockrank 30
+	// queue[head:] is the live FIFO; pop advances head instead of
+	// reslicing, and the queue restarts at the front of its array when it
+	// empties, so a steady push/pop cycle reuses one array.
 	queue   []flowItem
+	head    int
 	sent    int64 // cumulative units charged for delivered-to-transport sends
 	granted int64 // cumulative units granted back by the receiver
 	shed    int64 // tuples shed on this link
@@ -251,8 +255,8 @@ func (fc *flowControl) push(dst int32, it flowItem) {
 	}()
 	for {
 		l.mu.Lock()
-		if len(l.queue) < fc.queueCap || fc.draining.Load() {
-			l.queue = append(l.queue, it) //whale:transfers it.buf
+		if len(l.live()) < fc.queueCap || fc.draining.Load() {
+			l.enqueue(it)
 			l.mu.Unlock()
 			signal(l.kick)
 			return
@@ -267,10 +271,8 @@ func (fc *flowControl) push(dst int32, it flowItem) {
 				it.buf.release()
 				return
 			case ShedOldest:
-				if i := oldestUntracked(l.queue); i >= 0 {
-					evicted := l.queue[i]
-					l.queue = append(l.queue[:i], l.queue[i+1:]...)
-					l.queue = append(l.queue, it) //whale:transfers it.buf
+				if evicted, ok := l.evictOldest(); ok {
+					l.enqueue(it)
 					l.shed += evicted.tuples
 					l.mu.Unlock()
 					fc.w.eng.metrics.TuplesShed.Add(evicted.tuples)
@@ -292,7 +294,7 @@ func (fc *flowControl) push(dst int32, it flowItem) {
 		case <-fc.w.eng.stopping:
 			// Shutdown: accept over capacity so the drain still flushes it.
 			l.mu.Lock()
-			l.queue = append(l.queue, it) //whale:transfers it.buf
+			l.enqueue(it)
 			l.mu.Unlock()
 			signal(l.kick)
 			return
@@ -300,15 +302,35 @@ func (fc *flowControl) push(dst int32, it flowItem) {
 	}
 }
 
-// oldestUntracked returns the index of the first best-effort item in q, or
-// -1 when every queued item is tracked.
-func oldestUntracked(q []flowItem) int {
-	for i := range q {
-		if !q[i].tracked {
-			return i
+// live is the queued range. Callers hold mu.
+func (l *flowLink) live() []flowItem { return l.queue[l.head:] }
+
+// enqueue appends it to the queue. When the array is full and popped slots
+// sit ahead of the live range, it slides the range to the front instead of
+// growing the array. Callers hold mu.
+//
+//whale:owns it.buf
+func (l *flowLink) enqueue(it flowItem) {
+	if len(l.queue) == cap(l.queue) && l.head > 0 {
+		n := copy(l.queue, l.live())
+		clear(l.queue[n:])
+		l.queue, l.head = l.queue[:n], 0
+	}
+	l.queue = append(l.queue, it) //whale:transfers it.buf
+}
+
+// evictOldest removes the first best-effort item of the live range and
+// returns it; ok is false when every queued item is tracked. Callers hold
+// mu.
+func (l *flowLink) evictOldest() (evicted flowItem, ok bool) {
+	for i := l.head; i < len(l.queue); i++ {
+		if !l.queue[i].tracked {
+			evicted = l.queue[i]
+			l.queue = append(l.queue[:i], l.queue[i+1:]...)
+			return evicted, true
 		}
 	}
-	return -1
+	return flowItem{}, false
 }
 
 // run is the link's sender goroutine: pop, await credit, send, observe.
@@ -346,10 +368,13 @@ func (l *flowLink) run() {
 func (l *flowLink) pop() (flowItem, bool) {
 	for {
 		l.mu.Lock()
-		if len(l.queue) > 0 {
-			it := l.queue[0]
-			l.queue[0] = flowItem{}
-			l.queue = l.queue[1:]
+		if l.head < len(l.queue) {
+			it := l.queue[l.head]
+			l.queue[l.head] = flowItem{}
+			l.head++
+			if l.head == len(l.queue) {
+				l.queue, l.head = l.queue[:0], 0
+			}
 			l.busy.Store(1)
 			l.mu.Unlock()
 			signal(l.space)
@@ -359,12 +384,12 @@ func (l *flowLink) pop() (flowItem, bool) {
 		if l.fc.draining.Load() {
 			return flowItem{}, false
 		}
-		select {
-		case <-l.kick:
-		case <-time.After(flowPoll * 10):
-			// Poll fallback covers the close() race where draining is set
-			// just after the check above but the kick was already consumed.
-		}
+		// No clock: close stores draining before it rings kick, and kick
+		// is taken only on this goroutine (here and in awaitCredit), each
+		// take followed by a draining check. So a close that lands after
+		// the check above leaves kick full until this goroutine's next
+		// take, which then sees draining. A push rings after it enqueues.
+		<-l.kick
 	}
 }
 
@@ -471,7 +496,7 @@ func (l *flowLink) advancePause(now time.Time, starved time.Duration) {
 func (l *flowLink) observe() {
 	fc := l.fc
 	l.mu.Lock()
-	qlen := len(l.queue)
+	qlen := len(l.live())
 	out := l.sent - l.granted
 	wasDegraded := l.degraded
 	paused := !l.pausedSince.IsZero()
@@ -627,7 +652,7 @@ func (fc *flowControl) queued() int {
 	for i := range fc.links {
 		if l := fc.links[i].Load(); l != nil {
 			l.mu.Lock()
-			n += len(l.queue)
+			n += len(l.live())
 			l.mu.Unlock()
 			n += int(l.busy.Load())
 		}
@@ -682,7 +707,7 @@ func (e *Engine) LinkStats() []LinkStat {
 				From:         w.id,
 				To:           int32(dst),
 				State:        linkStateName(state),
-				Queued:       len(l.queue) + int(l.busy.Load()),
+				Queued:       len(l.live()) + int(l.busy.Load()),
 				Outstanding:  l.sent - l.granted,
 				Shed:         l.shed,
 				Sent:         l.sent,

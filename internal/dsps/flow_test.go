@@ -420,3 +420,53 @@ func TestCreditGrantClampAndMerge(t *testing.T) {
 		t.Fatalf("granted = %d after stale grant, want 10", granted)
 	}
 }
+
+// TestFlowLinkQueueHead: pop advances a head index and the queue restarts
+// at the front of its array when it empties, so a steady push/pop cycle
+// allocates nothing. FIFO order, the live range and ShedOldest's eviction
+// hold across the slide that makes room in a full array.
+func TestFlowLinkQueueHead(t *testing.T) {
+	l := &flowLink{fc: &flowControl{}, kick: make(chan struct{}, 1), space: make(chan struct{}, 1)}
+	pop := func() int64 {
+		it, ok := l.pop()
+		if !ok {
+			t.Fatal("pop on a non-empty queue failed")
+		}
+		return it.tuples
+	}
+	for i := int64(1); i <= 4; i++ {
+		l.enqueue(flowItem{tuples: i, tracked: i == 3})
+	}
+	if a, b := pop(), pop(); a != 1 || b != 2 {
+		t.Fatalf("popped %d, %d, want 1, 2", a, b)
+	}
+	// The popped slots ahead of head are zero items, untracked: eviction
+	// must skip them, and the tracked 3, and take 4.
+	if ev, ok := l.evictOldest(); !ok || ev.tuples != 4 {
+		t.Fatalf("evicted %+v (ok %v), want item 4", ev, ok)
+	}
+	arr := cap(l.queue)
+	l.enqueue(flowItem{tuples: 5})
+	l.enqueue(flowItem{tuples: 6}) // full array, head > 0: slides instead of growing
+	if cap(l.queue) != arr || len(l.live()) != 3 {
+		t.Fatalf("cap %d (was %d), %d live, want the same array and 3 live", cap(l.queue), arr, len(l.live()))
+	}
+	for _, want := range []int64{3, 5, 6} {
+		if got := pop(); got != want {
+			t.Fatalf("popped %d, want %d", got, want)
+		}
+	}
+	if len(l.queue) != 0 || l.head != 0 {
+		t.Fatalf("emptied queue len %d head %d, want it restarted at 0", len(l.queue), l.head)
+	}
+	if _, ok := l.evictOldest(); ok {
+		t.Fatal("evicted from an empty queue")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		l.enqueue(flowItem{tuples: 1})
+		pop()
+	})
+	if allocs != 0 {
+		t.Fatalf("a push/pop cycle allocates %.1f, want 0", allocs)
+	}
+}

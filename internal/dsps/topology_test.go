@@ -1,8 +1,10 @@
 package dsps
 
 import (
+	"math"
 	"testing"
 
+	"whale/internal/transport"
 	"whale/internal/tuple"
 )
 
@@ -213,13 +215,132 @@ func TestHashValueCoversTypes(t *testing.T) {
 	vals := []tuple.Value{int64(7), float64(3.5), "str", []byte{1, 2}, true, false}
 	seen := map[uint64]bool{}
 	for _, v := range vals {
-		seen[hashValue(v)] = true
+		seen[tuple.HashValue(v)] = true
 	}
 	if len(seen) < len(vals)-1 {
 		t.Fatalf("suspicious hash collisions: %d distinct of %d", len(seen), len(vals))
 	}
-	if hashValue("x") != hashValue("x") {
+	if tuple.HashValue("x") != tuple.HashValue("x") {
 		t.Fatal("hash not deterministic")
+	}
+}
+
+// TestSlotOfStable pins key-grouping slots to the values hash/fnv's FNV-1a
+// gave them before the hash was inlined: checkpoint shards and rescale
+// ownership are keyed by slot, so a slot must never move.
+func TestSlotOfStable(t *testing.T) {
+	for _, c := range []struct {
+		v    tuple.Value
+		slot int32
+		hash uint64
+	}{
+		{int64(0), 5, 0xa8c7f832281a39c5},
+		{int64(1), 36, 0x89cd31291d2aefa4},
+		{int64(-1), 61, 0x8cf51a8bfca3883d},
+		{int64(42), 47, 0xff3add6b3789daef},
+		{int64(1 << 40), 26, 0xa01e7d3223323b1a},
+		{int64(math.MinInt64), 5, 0xa8c7783228196045},
+		{float64(0), 5, 0xa8c7f832281a39c5},
+		{math.Copysign(0, -1), 5, 0xa8c7783228196045},
+		{3.25, 15, 0xa8b3543228087a0f},
+		{math.Inf(1), 56, 0xaab1293229b9b0f8},
+		{"", 37, 0xcbf29ce484222325},
+		{"a", 12, 0xaf63dc4c8601ec8c},
+		{"key-a", 22, 0x71132af295f22d16},
+		{"driver-001", 53, 0x6707bba9bf639375},
+		{"AAPL", 11, 0x89106b8b9f086ccb},
+		{"drv-001234", 34, 0x99532b4305d13be2},
+		{[]byte{}, 37, 0xcbf29ce484222325},
+		{[]byte{1, 2, 3}, 43, 0xd0aa6218672cf5ab},
+		{true, 44, 0xaf63bc4c8601b62c},
+		{false, 31, 0xaf63bd4c8601b7df},
+	} {
+		if got := SlotOf(c.v); got != c.slot {
+			t.Errorf("SlotOf(%#v) = %d, want %d", c.v, got, c.slot)
+		}
+		if got := tuple.HashValue(c.v); got != c.hash {
+			t.Errorf("HashValue(%#v) = %#x, want %#x", c.v, got, c.hash)
+		}
+		// A received tuple carrying the same key lands in the same slot.
+		raw, err := tuple.AppendTuple(nil, &tuple.Tuple{Stream: "s", Values: []tuple.Value{int64(9), c.v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, _, err := tuple.DecodeTuple(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int32(dec.HashField(1) % NumSlots); got != c.slot {
+			t.Errorf("decoded %#v: slot %d, want %d", c.v, got, c.slot)
+		}
+	}
+}
+
+// TestFieldsGroupingDecodedMatchesConstructed: the router sends a decoded
+// tuple and a constructed tuple with the same key to the same task.
+func TestFieldsGroupingDecodedMatchesConstructed(t *testing.T) {
+	b := NewTopologyBuilder()
+	b.Spout("src", mkSpout, 1)
+	b.Bolt("fi", mkBolt, 7).Fields("src", 1)
+	topo, _ := b.Build()
+	a, _ := Assign(topo, 2)
+	rt := newRouter(topo, a, "src", 0)
+	pick := func(tp *tuple.Tuple) int32 {
+		ds, err := rt.destinations("src", tp)
+		if err != nil || len(ds) != 1 {
+			t.Fatalf("destinations: %v %v", ds, err)
+		}
+		return ds[0].tasks[0]
+	}
+	for _, key := range []tuple.Value{"driver-7", int64(123456), 2.5, []byte("k"), true} {
+		built := &tuple.Tuple{Stream: "src", Values: []tuple.Value{int64(1), key}}
+		raw, err := tuple.AppendTuple(nil, built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, _, err := tuple.DecodeTuple(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, got := pick(built), pick(dec); got != want {
+			t.Errorf("key %#v: decoded tuple routed to %d, constructed to %d", key, got, want)
+		}
+	}
+}
+
+// TestRouteFieldsGroupedZeroAlloc: routing a tuple over fields-grouped
+// edges (a string key, an int key) to local tasks allocates nothing — no destinations slice, no hash
+// state, no string conversion — for a constructed and a decoded tuple.
+func TestRouteFieldsGroupedZeroAlloc(t *testing.T) {
+	b := NewTopologyBuilder()
+	b.Spout("src", mkSpout, 1)
+	b.Bolt("fi", mkBolt, 4).Fields("src", 0)
+	b.Bolt("fi2", mkBolt, 3).Fields("src", 1)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Start(topo, Config{Workers: 1, Network: transport.NewInprocNetwork(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	eng.WaitSpouts() // the spout's goroutine is done: its router is ours now
+	src := eng.workers[0].execMap()[eng.assign.TasksOf["src"][0]]
+	built := &tuple.Tuple{Stream: "src", Values: []tuple.Value{"driver-001234", int64(1 << 40)}}
+	raw, err := tuple.AppendTuple(nil, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, _, err := tuple.DecodeTuple(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tp := range map[string]*tuple.Tuple{"constructed": built, "decoded": dec} {
+		src.route(tp) // warm the router's scratch
+		if allocs := testing.AllocsPerRun(500, func() { src.route(tp) }); allocs != 0 {
+			t.Errorf("route of a %s tuple allocates %.1f per emit, want 0", name, allocs)
+		}
 	}
 }
 

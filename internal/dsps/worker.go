@@ -631,11 +631,18 @@ func (w *worker) deliverLoop() {
 // deliverData routes one decoded inbound message to local executors (and,
 // for multicast, onto the relay path). raw is the full encoded message the
 // handler received — owned by us per the transport contract — forwarded
-// verbatim by relays.
+// verbatim by relays. The decoded tuple is a view over raw, shared by every
+// local destination. Span clocks are read only for a traced payload
+// (peeked before decode); an untraced message reads the clock at most
+// once, for multicast.latency_ns.
 func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, raw []byte) {
+	traced := tuple.PeekTraceID(msg.Payload) != 0
+	var t0 time.Time
 	switch msg.Kind {
 	case tuple.KindInstanceMessage, tuple.KindWorkerMessage:
-		t0 := time.Now()
+		if traced {
+			t0 = time.Now()
+		}
 		src := int32(from)
 		// The sender charged max(1, len(DstIDs)) units; every unit must be
 		// granted back — on drain for delivered tuples, immediately for the
@@ -662,8 +669,10 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		if total > delivered {
 			w.grantData(src, total-delivered)
 		}
-		w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
-			src, 0, 0, 0, t0, time.Since(t0))
+		if traced {
+			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
+				src, 0, 0, 0, t0, time.Since(t0))
+		}
 
 	case tuple.KindMulticastMessage:
 		src := int32(from)
@@ -674,7 +683,9 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 			w.grantData(src, 1+localCost)
 			return
 		}
-		t0 := time.Now()
+		if traced {
+			t0 = time.Now()
+		}
 		tp, _, err := tuple.DecodeTuple(msg.Payload)
 		if err != nil {
 			w.eng.metrics.DecodeErrors.Inc()
@@ -690,7 +701,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 					group: msg.Group, tracked: tupleTracked(tp)})
 				relayed = true
 			}
-			if tp.TraceID != 0 {
+			if traced {
 				// Hop metadata is only derived for sampled tuples: DepthOf
 				// walks parent pointers, which untraced traffic should not pay.
 				hopDepth = int32(tr.DepthOf(w.id))
@@ -704,23 +715,27 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		// congested relay withholds the grant and the parent stalls —
 		// backpressure propagates up the tree hop by hop.
 		w.grantData(src, 1)
-		if relayed {
-			// The trace ID is only known after decode; the hop covers the
-			// relay copy + enqueue that preceded it.
+		if relayed && traced {
+			// The hop covers the decode and the relay enqueue.
 			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageTreeHop, w.id,
 				src, msg.TreeVersion, hopDepth, hopFanout, t0, time.Since(t0))
 		}
 		if tp.RootEmitNS > 0 {
 			w.eng.metrics.MulticastLatency.Observe(time.Now().UnixNano() - tp.RootEmitNS)
 		}
-		t1 := time.Now()
+		var t1 time.Time
+		if traced {
+			t1 = time.Now()
+		}
 		for _, dst := range w.eng.groupLocalTasks(msg.Group, w.id) {
 			if !w.enqueueRemote(src, dst, tp) {
 				w.grantData(src, 1)
 			}
 		}
-		w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
-			src, msg.TreeVersion, hopDepth, 0, t1, time.Since(t1))
+		if traced {
+			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
+				src, msg.TreeVersion, hopDepth, 0, t1, time.Since(t1))
+		}
 
 	default: // control never reaches here: dispatch handles it inline
 		w.eng.metrics.DecodeErrors.Inc()

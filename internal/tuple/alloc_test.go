@@ -126,9 +126,9 @@ func TestDecodeTupleBytesAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := out.Values[0].([]byte)
-	if !ok || !bytes.Equal(got, blob) {
-		t.Fatalf("decoded %v, want %v", out.Values[0], blob)
+	got := out.Bytes(0)
+	if !bytes.Equal(got, blob) {
+		t.Fatalf("decoded %v, want %v", got, blob)
 	}
 	// Mutating the input must show through the decoded value — the alias
 	// contract (and why receive buffers must never be recycled).

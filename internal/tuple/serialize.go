@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Field type tags used by the binary encoding.
@@ -59,6 +60,9 @@ func AppendTuple(dst []byte, t *Tuple) ([]byte, error) {
 	dst = appendU64(dst, uint64(t.AckVal))
 	dst = appendU64(dst, uint64(t.TraceID))
 	dst = appendU64(dst, uint64(t.Epoch))
+	if w := t.wireFields(); w != nil {
+		return append(dst, w...), nil
+	}
 	dst = appendU16(dst, uint16(len(t.Values)))
 	for _, v := range t.Values {
 		var err error
@@ -100,11 +104,21 @@ func appendValue(dst []byte, v Value) ([]byte, error) {
 	return dst, nil
 }
 
+// decoded is the one allocation DecodeTuple makes: the tuple together with
+// the slice header its wire field points at.
+type decoded struct {
+	Tuple
+	fields []byte
+}
+
 // DecodeTuple parses one tuple from buf, returning the tuple and the number
-// of bytes consumed. []byte field values alias buf — the caller must not
-// recycle buf while the decoded tuple is live (see DESIGN §11: receive-path
-// buffers transfer to the receiver and are never reused, which makes the
-// alias free).
+// of bytes consumed. Every field is validated here, but none is boxed: the
+// tuple keeps its field section as a sub-slice of buf and the accessors read
+// it in place, so the tuple aliases buf for its whole life — the caller must
+// not recycle buf while the decoded tuple is live (see DESIGN §11:
+// receive-path buffers transfer to the receiver and are never reused, which
+// makes the alias free). The stream name comes from a small intern table,
+// so a decode allocates only the tuple.
 //
 //whale:hotpath
 func DecodeTuple(buf []byte) (*Tuple, int, error) {
@@ -116,8 +130,9 @@ func DecodeTuple(buf []byte) (*Tuple, int, error) {
 	if off+int(slen) > len(buf) {
 		return nil, 0, ErrTruncated
 	}
-	t := &Tuple{Stream: string(buf[off : off+int(slen)])}
+	stream := buf[off : off+int(slen)]
 	off += int(slen)
+	var t Tuple
 	id, off, err := readU64(buf, off)
 	if err != nil {
 		return nil, 0, err
@@ -153,72 +168,136 @@ func DecodeTuple(buf []byte) (*Tuple, int, error) {
 		return nil, 0, err
 	}
 	t.Epoch = int64(ep)
+	fieldsAt := off
 	nf, off, err := readU16(buf, off)
 	if err != nil {
 		return nil, 0, err
 	}
-	t.Values = make([]Value, nf)
 	for i := 0; i < int(nf); i++ {
-		t.Values[i], off, err = readValue(buf, off)
-		if err != nil {
+		if off, err = checkValue(buf, off); err != nil {
 			return nil, 0, err
 		}
 	}
-	return t, off, nil
+	t.Stream = internStream(stream)
+	d := &decoded{Tuple: t, fields: buf[fieldsAt:off]}
+	d.wire = &d.fields
+	return &d.Tuple, off, nil
 }
 
+// checkValue validates the field at buf[off:] and returns the offset just
+// past it. The accessors read validated fields without checking again.
+//
 //whale:hotpath
-func readValue(buf []byte, off int) (Value, int, error) {
+func checkValue(buf []byte, off int) (int, error) {
 	if off >= len(buf) {
-		return nil, off, ErrTruncated
+		return off, ErrTruncated
 	}
 	tag := buf[off]
 	off++
 	switch tag {
-	case tagInt64:
-		u, off, err := readU64(buf, off)
-		return int64(u), off, err
-	case tagFloat64:
-		u, off, err := readU64(buf, off)
-		return math.Float64frombits(u), off, err
-	case tagString:
+	case tagInt64, tagFloat64:
+		_, off, err := readU64(buf, off)
+		return off, err
+	case tagString, tagBytes:
 		n, off, err := readU32(buf, off)
 		if err != nil {
-			return nil, off, err
+			return off, err
 		}
 		if off+int(n) > len(buf) {
-			return nil, off, ErrTruncated
+			return off, ErrTruncated
 		}
-		return string(buf[off : off+int(n)]), off + int(n), nil
-	case tagBytes:
-		n, off, err := readU32(buf, off)
-		if err != nil {
-			return nil, off, err
-		}
-		if off+int(n) > len(buf) {
-			return nil, off, ErrTruncated
-		}
-		// Alias the input instead of copying: decode buffers are owned by the
-		// receive path (every transport delivers a private buffer) and Tuple
-		// []byte fields are immutable by convention, so the sub-slice is safe
-		// to hand out and the per-field copy is pure overhead.
-		return buf[off : off+int(n) : off+int(n)], off + int(n), nil
+		return off + int(n), nil
 	case tagBool:
 		if off >= len(buf) {
-			return nil, off, ErrTruncated
+			return off, ErrTruncated
 		}
 		// Strict: only the two bytes the encoder emits are valid. Accepting
 		// arbitrary nonzero bytes as false made corrupt frames decode
 		// silently instead of failing (found by FuzzDecodeTuple).
-		switch buf[off] {
-		case 0:
-			return false, off + 1, nil
-		case 1:
-			return true, off + 1, nil
+		if b := buf[off]; b > 1 {
+			return off, fmt.Errorf("tuple: invalid bool encoding %d", b)
 		}
-		return nil, off, fmt.Errorf("tuple: invalid bool encoding %d", buf[off])
+		return off + 1, nil
 	default:
-		return nil, off, fmt.Errorf("tuple: unknown field tag %d", tag)
+		return off, fmt.Errorf("tuple: unknown field tag %d", tag)
+	}
+}
+
+// valueSpan returns where the value bytes of the validated field at w[off]
+// start and end; the next field starts at end. The value bytes are a
+// number's eight little-endian bytes, a string's or []byte's payload, or a
+// bool's one byte.
+func valueSpan(w []byte, off int) (start, end int) {
+	switch w[off] {
+	case tagString, tagBytes:
+		start = off + 5
+		return start, start + int(binary.LittleEndian.Uint32(w[off+1:]))
+	case tagBool:
+		return off + 1, off + 2
+	}
+	return off + 1, off + 9
+}
+
+// fieldAt returns the tag and value bytes of field i of a validated field
+// section, walking the fields before it. It panics when there is no field i.
+func fieldAt(w []byte, i int) (byte, []byte) {
+	if n := int(binary.LittleEndian.Uint16(w)); uint(i) >= uint(n) {
+		panic(fmt.Sprintf("tuple: field %d of a %d-field tuple", i, n))
+	}
+	off := 2
+	for ; i > 0; i-- {
+		_, off = valueSpan(w, off)
+	}
+	start, end := valueSpan(w, off)
+	return w[off], w[start:end]
+}
+
+// fieldOf is fieldAt for a field that must have the tag want: like the type
+// assertion on a constructed tuple, it panics when the field has another.
+func fieldOf(w []byte, i int, want byte) []byte {
+	tag, b := fieldAt(w, i)
+	if tag != want {
+		panic(fmt.Sprintf("tuple: field %d is %s, not %s", i, tagNames[tag], tagNames[want]))
+	}
+	return b
+}
+
+var tagNames = [...]string{tagInt64: "int64", tagFloat64: "float64", tagString: "string", tagBytes: "[]byte", tagBool: "bool"}
+
+// Decoded stream names are interned so a decode does not allocate one. The
+// table is copy-on-write behind an atomic pointer: a lookup is one atomic
+// load and one map read (m[string(b)] does not allocate), and only a name
+// seen for the first time pays a copy. It holds at most maxInterned names
+// of at most maxInternedLen bytes; when it is full it starts over, so a
+// stream of junk names costs allocations, never memory.
+var streamNames atomic.Pointer[map[string]string]
+
+const (
+	maxInterned    = 256
+	maxInternedLen = 128
+)
+
+func internStream(b []byte) string {
+	if m := streamNames.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s
+		}
+	}
+	s := string(b)
+	if len(s) > maxInternedLen {
+		return s
+	}
+	for {
+		old := streamNames.Load()
+		next := map[string]string{s: s}
+		if old != nil && len(*old) < maxInterned {
+			for k, v := range *old {
+				next[k] = v
+			}
+		}
+		if streamNames.CompareAndSwap(old, &next) {
+			return s
+		}
 	}
 }
 
@@ -246,7 +325,11 @@ func PeekTraceID(buf []byte) int64 {
 //
 //whale:hotpath
 func EncodedSize(t *Tuple) int {
-	n := 2 + len(t.Stream) + 8 + 4 + 8 + 8 + 8 + 8 + 8 + 2
+	n := 2 + len(t.Stream) + 8 + 4 + 8 + 8 + 8 + 8 + 8
+	if w := t.wireFields(); w != nil {
+		return n + len(w)
+	}
+	n += 2
 	for _, v := range t.Values {
 		switch x := v.(type) {
 		case int64, float64:

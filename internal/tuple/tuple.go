@@ -9,10 +9,21 @@
 // cost the paper calls "serialization time" (t_s); it is deliberately a real
 // encoder (not a stub) so the live runtime pays a realistic, measurable CPU
 // cost per encode.
+//
+// A tuple has one of two forms. A producer builds one by setting Values. A
+// tuple that arrived over the wire keeps its fields as the validated bytes
+// it was decoded from, and Values is nil: the local instances a worker
+// delivers it to share one undecoded payload, and decoding boxes nothing.
+// Read fields through the accessors (Int, Float, StringAt, Bytes, Bool, Len,
+// Field, Fields), which serve both forms. Reading Values outside this
+// package is a bug on any tuple that may have been received; `make
+// values-gate` rejects it in non-test code.
 package tuple
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -25,8 +36,15 @@ type Tuple struct {
 	// Stream is the logical stream the tuple belongs to (usually the id of
 	// the operator that emitted it).
 	Stream string
-	// Values holds the tuple's fields.
+	// Values holds the fields of a constructed tuple: set it to build one.
+	// It is nil on a decoded tuple, whose fields stay in its wire bytes, so
+	// read fields through the accessors, never through Values. Setting
+	// Values on a decoded tuple replaces its fields.
 	Values []Value
+	// wire points at the encoded field section (u16 count, then the fields)
+	// of a decoded tuple, inside the allocation that holds the tuple; nil
+	// for a constructed tuple. The bytes alias the receive buffer.
+	wire *[]byte
 	// ID is a source-assigned sequence number, unique per producing task.
 	ID int64
 	// SrcTask is the task id of the producing instance.
@@ -58,38 +76,177 @@ type Tuple struct {
 
 // Clone returns a shallow copy of t with its own Values slice. Field values
 // themselves are immutable by convention ([]byte fields must not be mutated
-// by receivers), so sharing them is safe.
+// by receivers), so sharing them is safe; so is sharing a decoded tuple's
+// wire bytes.
 func (t *Tuple) Clone() *Tuple {
 	cp := *t
 	cp.Values = append([]Value(nil), t.Values...)
 	return &cp
 }
 
-// Int returns field i as an int64. It panics if the field has another type;
-// operator code is expected to know its schema.
-func (t *Tuple) Int(i int) int64 { return t.Values[i].(int64) }
+// wireFields returns the encoded field section a decoded tuple reads its
+// fields from, or nil when the fields are in Values.
+func (t *Tuple) wireFields() []byte {
+	if t.wire == nil || t.Values != nil {
+		return nil
+	}
+	return *t.wire
+}
+
+// Len returns the number of fields.
+func (t *Tuple) Len() int {
+	if w := t.wireFields(); w != nil {
+		return int(binary.LittleEndian.Uint16(w))
+	}
+	return len(t.Values)
+}
+
+// Int returns field i as an int64. It panics if the field has another type
+// or does not exist; operator code is expected to know its schema.
+func (t *Tuple) Int(i int) int64 {
+	if w := t.wireFields(); w != nil {
+		return int64(binary.LittleEndian.Uint64(fieldOf(w, i, tagInt64)))
+	}
+	return t.Values[i].(int64)
+}
 
 // Float returns field i as a float64.
-func (t *Tuple) Float(i int) float64 { return t.Values[i].(float64) }
+func (t *Tuple) Float(i int) float64 {
+	if w := t.wireFields(); w != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(fieldOf(w, i, tagFloat64)))
+	}
+	return t.Values[i].(float64)
+}
 
-// String returns field i as a string.
-func (t *Tuple) StringAt(i int) string { return t.Values[i].(string) }
+// StringAt returns field i as a string. On a decoded tuple the string is a
+// copy, so keeping it does not pin the receive buffer.
+func (t *Tuple) StringAt(i int) string {
+	if w := t.wireFields(); w != nil {
+		return string(fieldOf(w, i, tagString))
+	}
+	return t.Values[i].(string)
+}
 
-// Bytes returns field i as a []byte.
-func (t *Tuple) Bytes(i int) []byte { return t.Values[i].([]byte) }
+// Bytes returns field i as a []byte. On a decoded tuple it aliases the
+// receive buffer; receivers must not mutate it.
+func (t *Tuple) Bytes(i int) []byte {
+	if w := t.wireFields(); w != nil {
+		b := fieldOf(w, i, tagBytes)
+		return b[:len(b):len(b)]
+	}
+	return t.Values[i].([]byte)
+}
 
 // Bool returns field i as a bool.
-func (t *Tuple) Bool(i int) bool { return t.Values[i].(bool) }
+func (t *Tuple) Bool(i int) bool {
+	if w := t.wireFields(); w != nil {
+		return fieldOf(w, i, tagBool)[0] == 1
+	}
+	return t.Values[i].(bool)
+}
+
+// Field returns field i boxed, as the producer set it. On a decoded tuple
+// this allocates for most values; prefer the typed accessors.
+func (t *Tuple) Field(i int) Value {
+	w := t.wireFields()
+	if w == nil {
+		return t.Values[i]
+	}
+	tag, b := fieldAt(w, i)
+	switch tag {
+	case tagInt64:
+		return int64(binary.LittleEndian.Uint64(b))
+	case tagFloat64:
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	case tagString:
+		return string(b)
+	case tagBytes:
+		return b[:len(b):len(b)]
+	default: // tagBool: decode admits no other tag
+		return b[0] == 1
+	}
+}
+
+// Fields returns every field boxed, in a fresh slice the caller owns. It is
+// the only way to get boxed values out of a decoded tuple.
+func (t *Tuple) Fields() []Value {
+	if t.wireFields() == nil {
+		return append([]Value(nil), t.Values...)
+	}
+	out := make([]Value, t.Len())
+	for i := range out {
+		out[i] = t.Field(i)
+	}
+	return out
+}
+
+// HashField returns HashValue of field i without boxing it.
+func (t *Tuple) HashField(i int) uint64 {
+	if w := t.wireFields(); w != nil {
+		_, b := fieldAt(w, i)
+		return fnv1a(b)
+	}
+	return HashValue(t.Values[i])
+}
+
+// HashValue is the 64-bit FNV-1a hash of a field value's bytes as the wire
+// carries them: eight little-endian bytes for an int64 or a float64's bits,
+// the bytes of a string or []byte, one 0/1 byte for a bool. A value of
+// another type hashes as no bytes. Key grouping places keys by it, so it
+// must never change: checkpoint shards and rescale ownership depend on it.
+func HashValue(v Value) uint64 {
+	switch x := v.(type) {
+	case int64:
+		return fnvUint64(uint64(x))
+	case float64:
+		return fnvUint64(math.Float64bits(x))
+	case string:
+		return fnv1a(x)
+	case []byte:
+		return fnv1a(x)
+	case bool:
+		if x {
+			return fnv1a("\x01")
+		}
+		return fnv1a("\x00")
+	}
+	return fnv1a("")
+}
+
+// fnv1a is 64-bit FNV-1a, written out so hashing a key neither allocates a
+// hash.Hash nor converts a string.
+func fnv1a[B string | []byte](b B) uint64 {
+	h := fnvOffset
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime
+	}
+	return h
+}
+
+// fnvUint64 is fnv1a over v's eight little-endian bytes.
+func fnvUint64(v uint64) uint64 {
+	h := fnvOffset
+	for i := 0; i < 8; i++ {
+		h = (h ^ v&0xff) * fnvPrime
+		v >>= 8
+	}
+	return h
+}
+
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
 
 // String renders the tuple for debugging.
 func (t *Tuple) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Tuple{stream=%s id=%d src=%d fields=[", t.Stream, t.ID, t.SrcTask)
-	for i, v := range t.Values {
+	for i := 0; i < t.Len(); i++ {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%v", v)
+		fmt.Fprintf(&b, "%v", t.Field(i))
 	}
 	b.WriteString("]}")
 	return b.String()

@@ -71,9 +71,9 @@ func (s *SplitBolt) Execute(tp *tuple.Tuple, c *dsps.Collector) {
 		return
 	}
 	if tp.StringAt(1) == SideBuy {
-		c.EmitTo(StreamBuy, tp.Values...)
+		c.EmitTo(StreamBuy, tp.Fields()...)
 	} else {
-		c.EmitTo(StreamSell, tp.Values...)
+		c.EmitTo(StreamSell, tp.Fields()...)
 	}
 }
 
