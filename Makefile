@@ -12,7 +12,7 @@ MUTEX_RE = sync\.(RW)?Mutex
 RANK_RE = //whale:lockrank
 CLOCK_RE = time\.(NewTicker|NewTimer|AfterFunc|After|Sleep|Tick)\(
 
-.PHONY: check vet whalevet vet-baseline loc-gate values-gate build test race chaos fmt bench perfgate cover cover-gate loc
+.PHONY: check vet whalevet vet-baseline loc-gate values-gate build test race chaos fmt bench bench-pair perfgate cover cover-gate loc
 
 check: vet whalevet vet-baseline loc-gate values-gate build test race chaos
 
@@ -74,6 +74,31 @@ bench:
 # a markdown table (the bench-gate job points it at $GITHUB_STEP_SUMMARY).
 perfgate:
 	$(GO) run ./cmd/whaleperf -quick -runs 5 -baseline BENCH_9.json -out BENCH_9.new.json $(if $(PERFGATE_SUMMARY),-summary "$(PERFGATE_SUMMARY)")
+
+# Alternating live-engine benchmark pairs against a git ref:
+#   make bench-pair REF=<ref> N=10
+# archives REF into .bench_build/parent, runs `benchmark/run.sh all` there
+# and in the working tree N times each (the parent first in odd pairs, one
+# seed per pair), and prints cmd/benchpair's table: per workload and
+# end-to-end metric, both medians with their quartiles, the change in the
+# median, and in how many pairs the change was better. The raw results stay
+# in .bench_build/pairs.
+REF ?= HEAD
+N ?= 10
+
+bench-pair:
+	rm -rf .bench_build/parent .bench_build/pairs
+	mkdir -p .bench_build/parent .bench_build/pairs
+	git archive $(REF) | tar -x -C .bench_build/parent
+	@for i in $$(seq 1 $(N)); do \
+	  if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+	  for side in $$order; do \
+	    dir=.; [ $$side = parent ] && dir=.bench_build/parent; \
+	    echo "bench-pair: pair $$i of $(N), $$side" >&2; \
+	    (cd $$dir && benchmark/run.sh all --seed $$((100 + i)) --out "$(CURDIR)/.bench_build/pairs/$${side}_$$i.json") >/dev/null || true; \
+	  done; \
+	done
+	$(GO) run ./cmd/benchpair -spec BENCHMARK.json .bench_build/pairs
 
 # Statement coverage over the tier-1 sweep (the same `go test ./...` the
 # test job runs), written to coverage.out.

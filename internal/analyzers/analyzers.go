@@ -10,7 +10,7 @@
 //	             dot-hierarchical names (the PR 1 registry convention)
 //	verberr    — no silently discarded error from internal/rdma verbs or
 //	             internal/transport calls
-//	hotalloc   — no fmt.Sprintf / time.Now / map or []byte allocation
+//	hotalloc   — no fmt.Sprintf / time.Now/Since/Until / map or []byte allocation
 //	             inside functions annotated `//whale:hotpath`
 //
 // On top of the syntactic passes, a CFG/dataflow layer (cfg.go,

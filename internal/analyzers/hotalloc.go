@@ -8,8 +8,10 @@ import (
 // HotAlloc guards functions annotated `//whale:hotpath` (a line in the
 // function's doc comment) against per-tuple costs that do not belong on
 // the partitioning fast path: fmt.Sprintf (allocates and reflects),
-// time.Now (a vDSO call per tuple adds up at millions of tuples/s),
-// map allocation (make(map...) or a map composite literal), and byte-slice
+// a direct clock read — time.Now, time.Since or time.Until (a vDSO call per
+// tuple adds up at millions of tuples/s; the sampled reads go through
+// metrics.Clock and metrics.Since, behind a sampling decision), map
+// allocation (make(map...) or a map composite literal), and byte-slice
 // allocation (make([]byte, ...) — the hot path reuses pooled or
 // caller-provided buffers; a fresh slice per tuple is a copy in disguise).
 // Error paths are exempt by construction — fmt.Errorf is deliberately not
@@ -19,7 +21,7 @@ import (
 // a hotpath function runs on the same path.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flags fmt.Sprintf, time.Now, map allocation, and make([]byte, ...) inside //whale:hotpath functions",
+	Doc:  "flags fmt.Sprintf, time.Now/Since/Until, map allocation, and make([]byte, ...) inside //whale:hotpath functions",
 	Run:  runHotAlloc,
 }
 
@@ -37,6 +39,9 @@ func runHotAlloc(pass *Pass) {
 		}
 	}
 }
+
+// clockReads are the package time functions that read the clock.
+var clockReads = map[string]bool{"Now": true, "Since": true, "Until": true}
 
 func isHotPath(fd *ast.FuncDecl) bool {
 	if fd.Doc == nil {
@@ -65,8 +70,8 @@ func checkHotBody(pass *Pass, fname string, body *ast.BlockStmt) {
 				switch {
 				case funcPkgPath(fn) == "fmt" && fn.Name() == "Sprintf":
 					pass.Reportf(x.Pos(), "fmt.Sprintf in hot path %s: preformat or use strconv", fname)
-				case funcPkgPath(fn) == "time" && fn.Name() == "Now":
-					pass.Reportf(x.Pos(), "time.Now in hot path %s: hoist the timestamp out of the per-tuple path", fname)
+				case funcPkgPath(fn) == "time" && clockReads[fn.Name()]:
+					pass.Reportf(x.Pos(), "time.%s in hot path %s: hoist the timestamp out of the per-tuple path or sample it (metrics.Clock)", fn.Name(), fname)
 				}
 			}
 			// make(map[K]V) / make([]byte, ...): make is a builtin, so

@@ -47,6 +47,31 @@ func hotErrPath(v int) (string, error) {
 	return strconv.Itoa(v), nil
 }
 
+// hotSince: every direct clock read is a finding, not only time.Now.
+//
+//whale:hotpath
+func hotSince(t0, deadline time.Time) time.Duration {
+	_ = time.Until(deadline) // want `time\.Until in hot path hotSince`
+	return time.Since(t0)    // want `time\.Since in hot path hotSince`
+}
+
+// hotSampled reads the clock through a helper outside the annotated
+// function, behind a sampling decision: not flagged. Arithmetic on times
+// already read (Sub, Add) is not a clock read either.
+//
+//whale:hotpath
+func hotSampled(n int64) time.Duration {
+	t0 := sampledClock(n%16 == 1)
+	return sampledClock(!t0.IsZero()).Sub(t0)
+}
+
+func sampledClock(timed bool) time.Time {
+	if !timed {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 // cold has no annotation; nothing is flagged.
 func cold(name string) string {
 	_ = time.Now()

@@ -1,6 +1,7 @@
 package dsps
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -180,6 +181,30 @@ func TestMaxSpoutPendingRequiresAcking(t *testing.T) {
 	if err == nil {
 		t.Fatal("MaxSpoutPending without AckEnabled accepted")
 	}
+}
+
+// TestMaxSpoutPendingFitsSpoutQueue: a spout may not keep more trees in
+// flight than its input queue has seats for the acker's answers, or the
+// spout and a co-located acker block on each other's full queues.
+func TestMaxSpoutPendingFitsSpoutQueue(t *testing.T) {
+	b := NewTopologyBuilder()
+	b.Spout("s", mkSpout, 1)
+	topo, _ := b.Build()
+	_, err := Start(topo, Config{
+		Network:    transport.NewInprocNetwork(0),
+		AckEnabled: true, MaxSpoutPending: 65, ExecutorQueueCap: 64,
+	})
+	if err == nil || !strings.Contains(err.Error(), "ExecutorQueueCap") {
+		t.Fatalf("MaxSpoutPending above ExecutorQueueCap: err = %v, want a rejection", err)
+	}
+	eng, err := Start(topo, Config{
+		Network:    transport.NewInprocNetwork(0),
+		AckEnabled: true, MaxSpoutPending: 64, ExecutorQueueCap: 64,
+	})
+	if err != nil {
+		t.Fatalf("MaxSpoutPending equal to ExecutorQueueCap rejected: %v", err)
+	}
+	eng.Stop()
 }
 
 func TestReservedAckerID(t *testing.T) {

@@ -42,9 +42,11 @@ func (e *Engine) AttribInput() attrib.Input {
 		var busyNS, executed int64
 		var qlen int
 		for _, ex := range w.execMap() {
-			s := ex.ops.execNS.Snapshot()
-			busyNS += s.Sum
-			executed += ex.ops.executed.Value()
+			// The histogram holds sampled executions only: busy time is
+			// their mean over every execution.
+			n := ex.ops.executed.Value()
+			busyNS += int64(ex.ops.execNS.Mean() * float64(n))
+			executed += n
 			qlen += ex.queueLen()
 		}
 		ws := attrib.WorkerSample{

@@ -272,8 +272,7 @@ type autoscaler struct {
 	cfg AutoscaleConfig
 
 	states    map[string]*opScaleState
-	lastExec  map[string]int64
-	lastSumNS map[string]int64
+	last      map[string]OperatorStats // each operator's stats at the last tick
 	lastNS    int64
 	pendingOp string // operator of the plan this controller has in flight
 	ring      []AutoscaleDecision
@@ -288,12 +287,11 @@ type autoscaler struct {
 
 func newAutoscaler(e *Engine) *autoscaler {
 	return &autoscaler{
-		eng:       e,
-		cfg:       e.cfg.Autoscale,
-		states:    map[string]*opScaleState{},
-		lastExec:  map[string]int64{},
-		lastSumNS: map[string]int64{},
-		lastNS:    time.Now().UnixNano(),
+		eng:    e,
+		cfg:    e.cfg.Autoscale,
+		states: map[string]*opScaleState{},
+		last:   map[string]OperatorStats{},
+		lastNS: time.Now().UnixNano(),
 	}
 }
 
@@ -336,20 +334,24 @@ func (a *autoscaler) state(op string) *opScaleState {
 	return st
 }
 
-// observe measures one operator over the window since the last tick.
+// observe measures one operator over the window since the last tick: λ
+// from the exact executed count, te as the mean of the executions sampled
+// in the window (the execute-time histogram holds one in
+// metrics.SampleEvery, so its sum is read against its own count).
 func (a *autoscaler) observe(op string, nowNS int64) opObservation {
 	o := opObservation{NowNS: nowNS}
 	stats := mergedOpStats(a.eng.opShares(op))
+	prev := a.last[op]
+	a.last[op] = stats
 	winSec := float64(nowNS-a.lastNS) / 1e9
-	dExec := stats.Executed - a.lastExec[op]
-	dSum := stats.ExecLatency.Sum - a.lastSumNS[op]
-	a.lastExec[op] = stats.Executed
-	a.lastSumNS[op] = stats.ExecLatency.Sum
+	dExec := stats.Executed - prev.Executed
+	dTimed := stats.ExecLatency.Count - prev.ExecLatency.Count
+	dSum := stats.ExecLatency.Sum - prev.ExecLatency.Sum
 	if winSec > 0 && dExec >= 0 {
 		o.Lambda = float64(dExec) / winSec
 	}
-	if dExec > 0 && dSum > 0 {
-		o.Te = float64(dSum) / float64(dExec) / 1e9
+	if dTimed > 0 && dSum > 0 {
+		o.Te = float64(dSum) / float64(dTimed) / 1e9
 	}
 	tv := a.eng.tv()
 	o.Par = len(tv.assign.TasksOf[op])

@@ -1,9 +1,12 @@
 package dsps
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
+
+	"whale/internal/metrics"
 )
 
 // autoscaleTestConfig is the band the decision-table tests run under:
@@ -194,5 +197,26 @@ func TestAutoscaleIdleUsesLastServiceTime(t *testing.T) {
 	}
 	if got.Te != 0.001 {
 		t.Fatalf("idle decision te = %g, want remembered 0.001", got.Te)
+	}
+}
+
+// TestAutoscaleObserveReadsSampledTe: the execute-time histogram holds one
+// execution in SampleEvery, so te is its sum over its own count while λ
+// counts every execution — 1 600 executions in one second, 100 of them
+// timed at 1 ms each, read λ = 1 600/s and te = 1 ms.
+func TestAutoscaleObserveReadsSampledTe(t *testing.T) {
+	r := newMonitorRig(t, true)
+	a := r.eng.scaler
+	var o opObservation
+	r.feed(call(func() {
+		ops := r.eng.workers[1].execMap()[1].ops
+		ops.executed.Add(1600)
+		for i := 0; i < 1600/metrics.SampleEvery; i++ {
+			ops.execNS.Observe(int64(time.Millisecond))
+		}
+		o = a.observe("sink", a.lastNS+int64(time.Second))
+	}))
+	if math.Abs(o.Lambda-1600) > 1e-9 || math.Abs(o.Te-0.001) > 1e-12 {
+		t.Fatalf("observe: λ = %g/s, te = %g s; want 1600/s and 0.001 s", o.Lambda, o.Te)
 	}
 }

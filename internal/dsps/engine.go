@@ -103,7 +103,8 @@ type Config struct {
 	// (default 5s).
 	AckTimeout time.Duration
 	// MaxSpoutPending caps in-flight reliability trees per spout task
-	// (0 = unlimited). Requires AckEnabled.
+	// (0 = unlimited). Requires AckEnabled, and at most ExecutorQueueCap:
+	// the spout's queue must hold an ack event for every tree in flight.
 	MaxSpoutPending int
 
 	// HeartbeatInterval enables the failure detector: every worker beacons
@@ -405,6 +406,13 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 	}
 	if cfg.MaxSpoutPending > 0 && !cfg.AckEnabled {
 		return nil, fmt.Errorf("dsps: MaxSpoutPending requires AckEnabled")
+	}
+	if cfg.MaxSpoutPending > cfg.ExecutorQueueCap {
+		// The acker answers each tree on the spout's input queue. With
+		// fewer seats than trees in flight, a co-located acker blocks on
+		// that full queue while the spout blocks emitting to the acker.
+		return nil, fmt.Errorf("dsps: MaxSpoutPending %d exceeds ExecutorQueueCap %d: the spout and its acker would block on each other's full queues",
+			cfg.MaxSpoutPending, cfg.ExecutorQueueCap)
 	}
 	if _, taken := topo.Operators[ackerOperatorID]; taken {
 		return nil, fmt.Errorf("dsps: operator id %q is reserved", ackerOperatorID)

@@ -285,9 +285,20 @@ func TestPipelineLatencyPropagation(t *testing.T) {
 	if m.TuplesCompleted.Value() != n {
 		t.Fatalf("completed %d", m.TuplesCompleted.Value())
 	}
-	if m.ProcessingLatency.Count() != n || m.ProcessingLatency.Mean() <= 0 {
-		t.Fatalf("latency histogram %v", m.ProcessingLatency.Snapshot())
+	// One sink execution in metrics.SampleEvery is timed, per executor.
+	if want := sampledExecutions(eng.opShares("sink")); m.ProcessingLatency.Count() != want || m.ProcessingLatency.Mean() <= 0 {
+		t.Fatalf("latency histogram %v, want %d samples", m.ProcessingLatency.Snapshot(), want)
 	}
+}
+
+// sampledExecutions is how many executions an operator's executors time:
+// ⌈n/SampleEvery⌉ of each executor's n.
+func sampledExecutions(shares []*opMetrics) int64 {
+	var want int64
+	for _, s := range shares {
+		want += (s.executed.Value() + metrics.SampleEvery - 1) / metrics.SampleEvery
+	}
+	return want
 }
 
 // namedStreamSpout splits output across two named streams.
@@ -509,8 +520,8 @@ func TestOperatorStats(t *testing.T) {
 	if stats["sink"].Executed != n || stats["sink"].Emitted != 0 {
 		t.Fatalf("sink stats %+v", stats["sink"])
 	}
-	if stats["sink"].ExecLatency.Count != n {
-		t.Fatalf("sink exec latency %+v", stats["sink"].ExecLatency)
+	if want := sampledExecutions(eng.opShares("sink")); stats["sink"].ExecLatency.Count != want || stats["sink"].ExecLatency.Mean <= 0 {
+		t.Fatalf("sink exec latency %+v, want %d samples", stats["sink"].ExecLatency, want)
 	}
 }
 

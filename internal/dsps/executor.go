@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"whale/internal/metrics"
 	"whale/internal/obs"
 	"whale/internal/tuple"
 )
@@ -97,6 +98,9 @@ type executor struct {
 	curTrace int64 // trace ID inherited from the tuple being executed
 
 	ops *opMetrics
+	// execs counts this executor's executions: the sampling counter of
+	// execute's clock reads (this goroutine only).
+	execs int64
 
 	// inbox is the admission overflow: remote tuples that found the input
 	// queue full are parked here and moved into `in` by the feeder goroutine,
@@ -457,6 +461,12 @@ func (ex *executor) runBolt() {
 	}
 }
 
+// execute runs the bolt on one input. The clock is read only for a traced
+// tuple or a sampled execution (metrics.SampleEvery): the execute-time
+// histogram and ProcessingLatency hold the sampled executions alone, while
+// the executed and completed counts stay exact.
+//
+//whale:hotpath
 func (ex *executor) execute(at tuple.AddressedTuple) {
 	ex.curRoot = at.Data.RootEmitNS
 	ex.curRootID = at.Data.RootID
@@ -465,17 +475,24 @@ func (ex *executor) execute(at tuple.AddressedTuple) {
 	ex.xorAcc = 0
 	ex.suppressAck = false
 	ex.failCurrent = false
-	t0 := time.Now()
+	ex.execs++
+	sampled := metrics.Sampled(ex.execs)
+	t0 := metrics.Clock(sampled || at.Data.TraceID != 0)
 	ex.bolt.Execute(at.Data, ex.col)
-	dur := time.Since(t0)
-	ex.w.eng.obs.Tracer.Record(at.Data.TraceID, obs.StageExecute, ex.w.id, t0, dur)
-	ex.w.eng.metrics.TuplesExecuted.Inc()
-	if ex.ops != nil {
-		ex.ops.executed.Inc()
-		ex.ops.execNS.Observe(dur.Nanoseconds())
+	sink := ex.isSink && at.Data.RootEmitNS > 0 && at.Data.Stream != StreamTick
+	if !t0.IsZero() {
+		dur := metrics.Since(t0)
+		ex.w.eng.obs.Tracer.Record(at.Data.TraceID, obs.StageExecute, ex.w.id, t0, dur)
+		if sampled {
+			ex.ops.execNS.Observe(dur.Nanoseconds())
+			if sink {
+				ex.w.eng.metrics.ProcessingLatency.Observe(t0.Add(dur).UnixNano() - at.Data.RootEmitNS)
+			}
+		}
 	}
-	if ex.isSink && at.Data.RootEmitNS > 0 && at.Data.Stream != StreamTick {
-		ex.w.eng.metrics.ProcessingLatency.Observe(time.Now().UnixNano() - at.Data.RootEmitNS)
+	ex.w.eng.metrics.TuplesExecuted.Inc()
+	ex.ops.executed.Inc()
+	if sink {
 		ex.w.eng.metrics.TuplesCompleted.Inc()
 	}
 	// Close out the input's reliability bookkeeping.

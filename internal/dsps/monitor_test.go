@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"whale/internal/metrics"
 	"whale/internal/obs"
 	"whale/internal/transport"
 	"whale/internal/tuple"
@@ -298,12 +299,15 @@ func TestMonitorAutoscalerToldPlanFate(t *testing.T) {
 	r := newMonitorRig(t, true)
 	a := r.eng.scaler
 	// overload makes the next controller round see rho = 2 on sink: 4000
-	// tuples at 1 ms each over a one-second window, two instances.
+	// tuples at 1 ms each over a one-second window, two instances — one
+	// execution in SampleEvery timed, as execute samples them.
 	overload := func(nowNS *int64) request {
 		return call(func() {
 			ops := r.eng.workers[1].execMap()[1].ops
 			ops.executed.Add(4000)
-			ops.execNS.Observe(4000 * int64(time.Millisecond))
+			for i := 0; i < 4000/metrics.SampleEvery; i++ {
+				ops.execNS.Observe(int64(time.Millisecond))
+			}
 			*nowNS = a.lastNS + int64(time.Second)
 			r.m.handle(scaleTick(*nowNS))
 		})

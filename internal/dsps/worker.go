@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"whale/internal/metrics"
 	"whale/internal/multicast"
 	"whale/internal/obs"
 	"whale/internal/rdma"
@@ -128,9 +129,13 @@ type worker struct {
 	// otherwise a congested link reads as "emitting got expensive" and the
 	// controller wrongly deepens the tree.
 	pushBlockedNS int64
-	done          chan struct{}
-	wg            sync.WaitGroup
-	sendWG        sync.WaitGroup
+	// Sampling counters of the data path's clock reads (metrics.Sampled),
+	// one per owning goroutine: encodes on the send thread, delivered on the
+	// delivery goroutine.
+	encodes, delivered int64
+	done               chan struct{}
+	wg                 sync.WaitGroup
+	sendWG             sync.WaitGroup
 
 	// Per-worker stall accumulators feeding the bottleneck analyzer:
 	// sampled executor-queue residency and retry-backoff (replay) time.
@@ -339,14 +344,24 @@ func (w *worker) sendLoop() {
 	}
 }
 
-// encodeTuple serializes a tuple, accounting the cost.
+// encodeTuple serializes a tuple, accounting the cost: the count exactly,
+// the time for a traced tuple (its span) and for a sampled encode
+// (SampleEvery times into SerializationNS).
+//
+//whale:hotpath
 func (w *worker) encodeTuple(tp *tuple.Tuple) ([]byte, error) {
-	t0 := time.Now()
+	w.encodes++
+	sampled := metrics.Sampled(w.encodes)
+	t0 := metrics.Clock(sampled || tp.TraceID != 0)
 	payload, err := w.enc.EncodeTuple(tp)
-	d := time.Since(t0)
-	w.eng.metrics.SerializationNS.Add(d.Nanoseconds())
+	if !t0.IsZero() {
+		d := metrics.Since(t0)
+		if sampled {
+			w.eng.metrics.SerializationNS.Add(metrics.SampleEvery * d.Nanoseconds())
+		}
+		w.eng.obs.Tracer.Record(tp.TraceID, obs.StageSerialize, w.id, t0, d)
+	}
 	w.eng.metrics.Serializations.Inc()
-	w.eng.obs.Tracer.Record(tp.TraceID, obs.StageSerialize, w.id, t0, d)
 	return payload, err
 }
 
@@ -360,12 +375,19 @@ func tupleTracked(tp *tuple.Tuple) bool {
 	return tp.RootID != 0 || isAckStream(tp.Stream) || tp.Stream == StreamBarrier
 }
 
+// process runs one transfer-queue job. The data arms read the clock only
+// for a traced tuple (its spans) or when an adaptive multicast manager
+// listens for the per-replica emit cost (recordTe), which stays exact.
+//
+//whale:hotpath
 func (w *worker) process(j sendJob) {
 	m := w.eng.metrics
 	switch j.kind {
 	case jobPointToPoint:
+		mgr := w.eng.managerForTask(j.tp.SrcTask)
+		traced := j.tp.TraceID != 0
 		w.pushBlockedNS = 0
-		t0 := time.Now()
+		t0 := metrics.Clock(mgr != nil)
 		payload, err := w.encodeTuple(j.tp)
 		if err != nil {
 			m.RouteErrors.Inc()
@@ -373,12 +395,14 @@ func (w *worker) process(j sendJob) {
 		}
 		w.p2pDst[0] = j.dstTask
 		msg := tuple.WorkerMessage{Kind: tuple.KindInstanceMessage, DstIDs: w.p2pDst[:], Payload: payload}
-		t1 := time.Now()
+		t1 := metrics.Clock(traced)
 		sb := acquireSendBuf()
 		sb.b = tuple.AppendWorkerMessage(sb.b[:0], &msg)
 		w.sendData(j.dstWorker, sb.b, sb, 1, 1, tupleTracked(j.tp))
-		w.eng.obs.Tracer.Record(j.tp.TraceID, obs.StageRDMASlice, w.id, t1, time.Since(t1))
-		w.recordTe(j.tp.SrcTask, time.Since(t0)-time.Duration(w.pushBlockedNS))
+		if traced {
+			w.eng.obs.Tracer.Record(j.tp.TraceID, obs.StageRDMASlice, w.id, t1, metrics.Since(t1))
+		}
+		w.recordTe(mgr, t0)
 
 	case jobWorkerBatch:
 		payload, err := w.encodeTuple(j.tp)
@@ -391,9 +415,11 @@ func (w *worker) process(j sendJob) {
 			workers = append(workers, dw)
 		}
 		sort.Slice(workers, func(i, k int) bool { return workers[i] < workers[k] })
+		mgr := w.eng.managerForTask(j.tp.SrcTask)
+		traced := j.tp.TraceID != 0
 		for _, dw := range workers {
 			w.pushBlockedNS = 0
-			t0 := time.Now()
+			t0 := metrics.Clock(traced || mgr != nil)
 			msg := tuple.WorkerMessage{Kind: tuple.KindWorkerMessage, DstIDs: j.tasksByWorker[dw], Payload: payload}
 			n := int64(len(j.tasksByWorker[dw]))
 			cost := n
@@ -403,8 +429,10 @@ func (w *worker) process(j sendJob) {
 			sb := acquireSendBuf()
 			sb.b = tuple.AppendWorkerMessage(sb.b[:0], &msg)
 			w.sendData(dw, sb.b, sb, cost, n, tupleTracked(j.tp))
-			w.eng.obs.Tracer.Record(j.tp.TraceID, obs.StageRDMASlice, w.id, t0, time.Since(t0))
-			w.recordTe(j.tp.SrcTask, time.Since(t0)-time.Duration(w.pushBlockedNS))
+			if traced {
+				w.eng.obs.Tracer.Record(j.tp.TraceID, obs.StageRDMASlice, w.id, t0, metrics.Since(t0))
+			}
+			w.recordTe(mgr, t0)
 		}
 
 	case jobMulticast:
@@ -435,14 +463,18 @@ func (w *worker) process(j sendJob) {
 		sb := acquireSendBuf()
 		sb.b = tuple.AppendWorkerMessage(sb.b[:0], &msg)
 		sb.retain(int32(len(children) - 1))
+		mgr := w.eng.managerForTask(j.tp.SrcTask)
+		traced := j.tp.TraceID != 0
 		for _, child := range children {
 			w.pushBlockedNS = 0
-			t0 := time.Now()
+			t0 := metrics.Clock(traced || mgr != nil)
 			w.sendData(child, sb.b, sb, w.multicastCost(j.group, child), int64(len(w.eng.groupLocalTasks(j.group, child))), tupleTracked(j.tp))
-			// Source hop: depth 0, fan-out = this worker's child count.
-			w.eng.obs.Tracer.RecordHop(j.tp.TraceID, obs.StageRDMASlice, w.id,
-				child, version, 0, int32(len(children)), t0, time.Since(t0))
-			w.recordTe(j.tp.SrcTask, time.Since(t0)-time.Duration(w.pushBlockedNS))
+			if traced {
+				// Source hop: depth 0, fan-out = this worker's child count.
+				w.eng.obs.Tracer.RecordHop(j.tp.TraceID, obs.StageRDMASlice, w.id,
+					child, version, 0, int32(len(children)), t0, metrics.Since(t0))
+			}
+			w.recordTe(mgr, t0)
 		}
 
 	case jobRelay:
@@ -555,15 +587,14 @@ func (w *worker) sendMeasured(dst int32, raw []byte) (bool, time.Duration) {
 	return false, waited
 }
 
-// recordTe feeds the per-replica processing time to the source task's group
-// monitor if one exists (only multicast sources adapt).
-func (w *worker) recordTe(srcTask int32, d time.Duration) {
-	if d < 0 {
-		d = 0
+// recordTe feeds the per-replica processing time since t0, less the time
+// blocked on a full flow link, to the source task's group monitor mgr if
+// one exists (only multicast sources adapt; t0 is read whenever one does).
+func (w *worker) recordTe(mgr *mcManager, t0 time.Time) {
+	if mgr == nil {
+		return
 	}
-	if mgr := w.eng.managerForTask(srcTask); mgr != nil {
-		mgr.qm.RecordEmit(d.Nanoseconds())
-	}
+	mgr.qm.RecordEmit(max(0, metrics.Since(t0).Nanoseconds()-w.pushBlockedNS))
 }
 
 // dispatch is the transport inbound handler: Whale's dispatcher component.
@@ -633,16 +664,18 @@ func (w *worker) deliverLoop() {
 // handler received — owned by us per the transport contract — forwarded
 // verbatim by relays. The decoded tuple is a view over raw, shared by every
 // local destination. Span clocks are read only for a traced payload
-// (peeked before decode); an untraced message reads the clock at most
-// once, for multicast.latency_ns.
+// (peeked before decode); multicast.latency_ns reads it only for a sampled
+// message (metrics.SampleEvery on this goroutine's delivered count).
+//
+//whale:hotpath
 func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, raw []byte) {
 	traced := tuple.PeekTraceID(msg.Payload) != 0
+	w.delivered++
+	sampled := metrics.Sampled(w.delivered)
 	var t0 time.Time
 	switch msg.Kind {
 	case tuple.KindInstanceMessage, tuple.KindWorkerMessage:
-		if traced {
-			t0 = time.Now()
-		}
+		t0 = metrics.Clock(traced)
 		src := int32(from)
 		// The sender charged max(1, len(DstIDs)) units; every unit must be
 		// granted back — on drain for delivered tuples, immediately for the
@@ -657,8 +690,8 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 			w.grantData(src, total)
 			return
 		}
-		if msg.Kind == tuple.KindWorkerMessage && tp.RootEmitNS > 0 {
-			w.eng.metrics.MulticastLatency.Observe(time.Now().UnixNano() - tp.RootEmitNS)
+		if sampled && msg.Kind == tuple.KindWorkerMessage && tp.RootEmitNS > 0 {
+			w.eng.metrics.MulticastLatency.Observe(metrics.Clock(true).UnixNano() - tp.RootEmitNS)
 		}
 		var delivered int64
 		for _, dst := range msg.DstIDs {
@@ -671,7 +704,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		}
 		if traced {
 			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
-				src, 0, 0, 0, t0, time.Since(t0))
+				src, 0, 0, 0, t0, metrics.Since(t0))
 		}
 
 	case tuple.KindMulticastMessage:
@@ -683,9 +716,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 			w.grantData(src, 1+localCost)
 			return
 		}
-		if traced {
-			t0 = time.Now()
-		}
+		t0 = metrics.Clock(traced)
 		tp, _, err := tuple.DecodeTuple(msg.Payload)
 		if err != nil {
 			w.eng.metrics.DecodeErrors.Inc()
@@ -718,15 +749,12 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		if relayed && traced {
 			// The hop covers the decode and the relay enqueue.
 			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageTreeHop, w.id,
-				src, msg.TreeVersion, hopDepth, hopFanout, t0, time.Since(t0))
+				src, msg.TreeVersion, hopDepth, hopFanout, t0, metrics.Since(t0))
 		}
-		if tp.RootEmitNS > 0 {
-			w.eng.metrics.MulticastLatency.Observe(time.Now().UnixNano() - tp.RootEmitNS)
+		if sampled && tp.RootEmitNS > 0 {
+			w.eng.metrics.MulticastLatency.Observe(metrics.Clock(true).UnixNano() - tp.RootEmitNS)
 		}
-		var t1 time.Time
-		if traced {
-			t1 = time.Now()
-		}
+		t1 := metrics.Clock(traced)
 		for _, dst := range w.eng.groupLocalTasks(msg.Group, w.id) {
 			if !w.enqueueRemote(src, dst, tp) {
 				w.grantData(src, 1)
@@ -734,7 +762,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		}
 		if traced {
 			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
-				src, msg.TreeVersion, hopDepth, 0, t1, time.Since(t1))
+				src, msg.TreeVersion, hopDepth, 0, t1, metrics.Since(t1))
 		}
 
 	default: // control never reaches here: dispatch handles it inline

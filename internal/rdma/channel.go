@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"whale/internal/metrics"
 )
 
 // Fixed sizes and bounds: nothing sets them.
@@ -119,7 +121,7 @@ type ChannelStats struct {
 	MsgsRecv     atomic.Int64
 	BytesRecv    atomic.Int64
 	BlockedNS    atomic.Int64 // time flushers spent waiting for room (full ring, exhausted send window)
-	CQPollNS     atomic.Int64 // receiver time inside CQ/ring poll calls
+	CQPollNS     atomic.Int64 // receiver time inside CQ/ring poll calls, sampled (recvLoopRead)
 	CQPolls      atomic.Int64 // receiver poll calls issued
 	WRDepthSum   atomic.Int64 // work requests per pipelined flush, summed
 	WRFlushes    atomic.Int64 // pipelined flushes (WRDepthSum / WRFlushes = mean depth)
@@ -747,14 +749,20 @@ func (c *Channel) awaitBell(park bool) bool {
 	return true
 }
 
-// recvLoopRead is the receiver goroutine for one-sided READ mode.
+// recvLoopRead is the receiver goroutine for one-sided READ mode. One poll
+// in metrics.SampleEvery is timed, adding SampleEvery times its duration to
+// CQPollNS; CQPolls stays exact.
+//
+//whale:hotpath
 func (c *Channel) recvLoopRead() {
 	defer c.wg.Done()
 	for park := false; c.awaitBell(park); {
-		t0 := time.Now()
+		sampled := metrics.Sampled(c.stats.CQPolls.Add(1))
+		t0 := metrics.Clock(sampled)
 		n, err := c.rring.Poll(c.rcq, c.onFrame)
-		c.stats.CQPollNS.Add(time.Since(t0).Nanoseconds())
-		c.stats.CQPolls.Add(1)
+		if sampled {
+			c.stats.CQPollNS.Add(metrics.SampleEvery * metrics.Since(t0).Nanoseconds())
+		}
 		if err != nil || c.recvErr != nil {
 			// Transport-level failure: nothing to deliver to; stop.
 			return

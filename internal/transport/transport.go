@@ -17,8 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
+	"whale/internal/metrics"
 	"whale/internal/rdma"
 )
 
@@ -39,13 +39,17 @@ type Stats struct {
 	BytesSent atomic.Int64
 	MsgsRecv  atomic.Int64
 	BytesRecv atomic.Int64
-	// SendNS accumulates wall time spent inside Send — the sender-side CPU
-	// cost the paper's Fig. 25 "communication time" measures.
+	// SendNS estimates the wall time spent inside Send — the sender-side
+	// CPU cost the paper's Fig. 25 "communication time" measures. One call
+	// in metrics.SampleEvery is timed and adds SampleEvery times its
+	// duration, so SendNS/MsgsSent is the mean send cost.
 	SendNS atomic.Int64
 	// SendErrs counts Send calls that returned an error (the message was
 	// not handed to the wire). Failed sends contribute to SendNS but not
 	// to MsgsSent/BytesSent.
 	SendErrs atomic.Int64
+	// sends counts Send calls: the sampling counter of SendNS.
+	sends atomic.Int64
 }
 
 // Snapshot is a point-in-time copy of Stats.
@@ -93,11 +97,18 @@ type Network interface {
 	Close() error
 }
 
-// timedSend wraps the body of a Send with stats accounting.
+// timedSend wraps the body of a Send with stats accounting. The counts are
+// exact; SendNS is sampled (metrics.SampleEvery over the transport's send
+// calls), each timed call adding SampleEvery times its wall time.
+//
+//whale:hotpath
 func timedSend(st *Stats, bytes int, fn func() error) error {
-	t0 := time.Now()
+	sampled := metrics.Sampled(st.sends.Add(1))
+	t0 := metrics.Clock(sampled)
 	err := fn()
-	st.SendNS.Add(time.Since(t0).Nanoseconds())
+	if sampled {
+		st.SendNS.Add(metrics.SampleEvery * metrics.Since(t0).Nanoseconds())
+	}
 	if err == nil {
 		st.MsgsSent.Add(1)
 		st.BytesSent.Add(int64(bytes))

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"whale/internal/metrics"
 	"whale/internal/rdma"
 )
 
@@ -117,6 +118,46 @@ func TestRoundTripAllTransports(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSendNSSampled: timedSend times the 1st, 17th, 33rd and 49th of 64
+// sends and adds SampleEvery times each, so SendNS estimates the total wall
+// time of all 64 within 2x while every count stays exact. Each send spins
+// for a fixed time, so the estimate is not at the mercy of nanosecond
+// noise; a run the scheduler still skews gets three tries.
+func TestSendNSSampled(t *testing.T) {
+	const sends, spin = 64, 300 * time.Microsecond
+	var ratio float64
+	for try := 0; try < 3; try++ {
+		var st Stats
+		var exact time.Duration
+		for i := 0; i < sends; i++ {
+			var err error
+			if i == 5 {
+				err = errors.New("refused")
+			}
+			_ = timedSend(&st, 10, func() error {
+				t0 := time.Now()
+				for time.Since(t0) < spin {
+				}
+				exact += time.Since(t0)
+				return err
+			})
+		}
+		s := st.Load()
+		if s.MsgsSent != sends-1 || s.SendErrs != 1 || s.BytesSent != 10*(sends-1) {
+			t.Fatalf("counts %+v, want %d sent, 1 error", s, sends-1)
+		}
+		// Four timed sends of at least spin each, times SampleEvery.
+		if min := int64(4 * metrics.SampleEvery * spin); s.SendNS < min {
+			t.Fatalf("SendNS = %d, want >= %d (4 sampled sends x %d)", s.SendNS, min, metrics.SampleEvery)
+		}
+		ratio = float64(s.SendNS) / float64(exact)
+		if ratio >= 0.5 && ratio <= 2 {
+			return
+		}
+	}
+	t.Fatalf("SendNS / exact send time = %.2f in the last of three runs, want within [0.5, 2]", ratio)
 }
 
 func TestUnknownWorker(t *testing.T) {
