@@ -76,29 +76,38 @@ perfgate:
 	$(GO) run ./cmd/whaleperf -quick -runs 5 -baseline BENCH_9.json -out BENCH_9.new.json $(if $(PERFGATE_SUMMARY),-summary "$(PERFGATE_SUMMARY)")
 
 # Alternating live-engine benchmark pairs against a git ref:
-#   make bench-pair REF=<ref> N=10
-# archives REF into .bench_build/parent, runs `benchmark/run.sh all` there
-# and in the working tree N times each (the parent first in odd pairs, one
-# seed per pair), and prints cmd/benchpair's table: per workload and
+#   make bench-pair REF=<ref> N=10 [WORKLOADS="fanout_whale ride_join"]
+# archives REF into .bench_build/parent and runs each workload N times there
+# and N times in the working tree with `benchmark/run.sh --workload`, one
+# seed per pair. The two runs of a pair are back to back (the parent first
+# in odd pairs), so they are a workload's run length apart, not a whole
+# sweep's. cmd/benchpair folds each run's result line into its side's
+# parent_<i>.json or change_<i>.json and prints the table: per workload and
 # end-to-end metric, both medians with their quartiles, the change in the
-# median, and in how many pairs the change was better. The raw results stay
-# in .bench_build/pairs.
+# median, and in how many pairs the change was better. The raw results
+# stay in .bench_build/pairs.
 REF ?= HEAD
 N ?= 10
+WORKLOADS ?= fanout_whale fanout_storm ride_join stock_reliable
 
 bench-pair:
 	rm -rf .bench_build/parent .bench_build/pairs
 	mkdir -p .bench_build/parent .bench_build/pairs
 	git archive $(REF) | tar -x -C .bench_build/parent
+	$(GO) build -o .bench_build/benchpair ./cmd/benchpair
 	@for i in $$(seq 1 $(N)); do \
 	  if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
-	  for side in $$order; do \
-	    dir=.; [ $$side = parent ] && dir=.bench_build/parent; \
-	    echo "bench-pair: pair $$i of $(N), $$side" >&2; \
-	    (cd $$dir && benchmark/run.sh all --seed $$((100 + i)) --out "$(CURDIR)/.bench_build/pairs/$${side}_$$i.json") >/dev/null || true; \
+	  for w in $(WORKLOADS); do \
+	    for side in $$order; do \
+	      dir=.; [ $$side = parent ] && dir=.bench_build/parent; \
+	      echo "bench-pair: pair $$i of $(N), $$w, $$side" >&2; \
+	      (cd $$dir && benchmark/run.sh --workload $$w --seed $$((100 + i)) --seconds 24 --trace 0) \
+	        >.bench_build/pairs/last_run.txt || true; \
+	      .bench_build/benchpair -merge .bench_build/pairs/$${side}_$$i.json -workload $$w .bench_build/pairs/last_run.txt || exit 1; \
+	    done; \
 	  done; \
 	done
-	$(GO) run ./cmd/benchpair -spec BENCHMARK.json .bench_build/pairs
+	.bench_build/benchpair -spec BENCHMARK.json -workloads "$(WORKLOADS)" .bench_build/pairs
 
 # Statement coverage over the tier-1 sweep (the same `go test ./...` the
 # test job runs), written to coverage.out.

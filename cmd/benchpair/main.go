@@ -1,23 +1,40 @@
-// Command benchpair summarises alternating benchmark pairs: N runs of
-// `benchmark/run.sh all` at a parent ref and N in the working tree, written
-// as parent_<i>.json and change_<i>.json (i = 1..N) into one directory.
-// For every workload and end-to-end metric BENCHMARK.json declares it
-// prints one markdown row: the parent's and the change's median with its
-// quartiles, the change in the median, and in how many pairs the change
-// was better. `make bench-pair REF=<ref> N=<n>` runs the pairs and then
-// this command:
+// Command benchpair summarises alternating benchmark pairs: N runs of each
+// workload at a parent ref and N in the working tree, collected per side
+// and pair as parent_<i>.json and change_<i>.json (i = 1..N) in one
+// directory — the object `benchmark/run.sh all` writes, workload -> the
+// run's JSON result line. For every workload and end-to-end metric
+// BENCHMARK.json declares it prints one markdown row: the parent's and the
+// change's median with its quartiles, the change in the median, and in how
+// many pairs the change was better. `make bench-pair REF=<ref> N=<n>` runs
+// the pairs and then this command:
 //
-//	go run ./cmd/benchpair -spec BENCHMARK.json .bench_build/pairs
+//	benchpair -spec BENCHMARK.json [-workloads "a b"] .bench_build/pairs
+//
+// -workloads limits the table and the failure count to the named
+// workloads (default: every workload the spec declares).
+//
+// The pairs are run one workload at a time, so the two sides of a pair run
+// seconds apart rather than minutes; each run's output is folded into its
+// side's file with
+//
+//	benchpair -merge parent_<i>.json -workload NAME RUN_OUTPUT
+//
+// which stores the last JSON line of RUN_OUTPUT (the output of
+// `benchmark/run.sh --workload NAME ...`) under NAME. A run that printed
+// no result line leaves its workload out, and the table counts it failed.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // spec is the part of BENCHMARK.json the table needs.
@@ -46,21 +63,76 @@ type results map[string]run
 
 func main() {
 	specPath := flag.String("spec", "BENCHMARK.json", "benchmark declaration naming the workloads and end-to-end metrics")
+	workloads := flag.String("workloads", "", "space-separated workloads to summarise (default: all in the spec)")
+	mergeInto := flag.String("merge", "", "fold the result line of one run's output into this per-side file instead of summarising")
+	workload := flag.String("workload", "", "with -merge: the workload the run's output belongs to")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchpair [-spec BENCHMARK.json] DIR")
+	var err error
+	switch {
+	case *mergeInto != "" && *workload != "" && flag.NArg() == 1:
+		err = merge(*mergeInto, *workload, flag.Arg(0))
+	case *mergeInto == "" && flag.NArg() == 1:
+		err = summarise(os.Stdout, *specPath, strings.Fields(*workloads), flag.Arg(0))
+	default:
+		fmt.Fprintln(os.Stderr, "usage: benchpair [-spec BENCHMARK.json] [-workloads \"a b\"] DIR\n"+
+			"       benchpair -merge FILE -workload NAME RUN_OUTPUT")
 		os.Exit(2)
 	}
-	if err := summarise(os.Stdout, *specPath, flag.Arg(0)); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
 }
 
-func summarise(out io.Writer, specPath, dir string) error {
+// merge stores the last JSON line of the run output in runOut under
+// workload in the per-side file, creating the file if it does not exist.
+// Output with no JSON line (a run that died) changes nothing.
+func merge(file, workload, runOut string) error {
+	b, err := os.ReadFile(runOut)
+	if err != nil {
+		return err
+	}
+	var line []byte
+	for _, l := range bytes.Split(b, []byte("\n")) {
+		if bytes.HasPrefix(l, []byte("{")) {
+			line = l
+		}
+	}
+	if line == nil {
+		return nil
+	}
+	all := map[string]json.RawMessage{}
+	if err := readJSON(file, &all); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	if !json.Valid(line) {
+		return fmt.Errorf("%s: the result line is not JSON", runOut)
+	}
+	all[workload] = line
+	out, err := json.Marshal(all)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(file, append(out, '\n'), 0o644)
+}
+
+// summarise prints the table for the named workloads (all the spec
+// declares when only is empty).
+func summarise(out io.Writer, specPath string, only []string, dir string) error {
 	var sp spec
 	if err := readJSON(specPath, &sp); err != nil {
 		return err
+	}
+	if len(only) > 0 {
+		keep := sp.Workloads[:0]
+		for _, w := range sp.Workloads {
+			if slices.Contains(only, w.Name) {
+				keep = append(keep, w)
+			}
+		}
+		if sp.Workloads = keep; len(keep) != len(only) {
+			return fmt.Errorf("-workloads %q names a workload the spec does not declare", strings.Join(only, " "))
+		}
 	}
 	var parent, change []results
 	for i := 1; ; i++ {

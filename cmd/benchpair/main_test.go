@@ -36,7 +36,7 @@ func TestSummarise(t *testing.T) {
 	write("parent_2.json", run(110, 0.011))
 	write("change_2.json", run(140, 0.009))
 	var out strings.Builder
-	if err := summarise(&out, filepath.Join(dir, "spec.json"), dir); err != nil {
+	if err := summarise(&out, filepath.Join(dir, "spec.json"), nil, dir); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -49,6 +49,72 @@ func TestSummarise(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("summary lacks %q:\n%s", want, got)
 		}
+	}
+}
+
+// TestMergeThenSummarise: per-workload run outputs folded into per-side
+// files read as `run.sh all` output does. The last JSON line of a run's
+// output is its result; a run with none stays out of the file and counts
+// as failed; -workloads limits the table and the failure count.
+func TestMergeThenSummarise(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	spec := write("spec.json", `{"workloads":[{"name":"w"},{"name":"v"},{"name":"u"}],"end_to_end":[
+		{"name":"tps","unit":"1/s","better":"higher"}]}`)
+	line := func(tps float64) string {
+		return `{"correct":true,"failed":0,"metrics":{"tps":{"value":` + ftoa(tps) + `}}}`
+	}
+	pairs := filepath.Join(dir, "pairs")
+	if err := os.Mkdir(pairs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range []struct {
+		side, workload, output string
+	}{
+		{"parent_1", "w", "warm-up\n" + line(1) + "\nmetric lines\n" + line(100) + "\n"},
+		{"change_1", "w", line(120) + "\n"},
+		{"parent_1", "v", line(50) + "\n"},
+		{"change_1", "v", "panic: the run died\n"},
+	} {
+		out := write("run"+strconv.Itoa(i)+".txt", r.output)
+		if err := merge(filepath.Join(pairs, r.side+".json"), r.workload, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var all results
+	if err := readJSON(filepath.Join(pairs, "parent_1.json"), &all); err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != 2 || all["w"].Metrics["tps"].Value != 100 || all["v"].Metrics["tps"].Value != 50 {
+		t.Fatalf("merged parent file %+v, want w at 100 and v at 50", all)
+	}
+	for _, c := range []struct {
+		only []string
+		want []string
+	}{
+		{[]string{"w", "v"}, []string{"1 pairs", "| w | tps | 100 [100–100] | 120 [120–120] | +20.0 % | 1/1 |",
+			"failed or missing runs: parent 0/2, change 1/2"}},
+		{nil, []string{"failed or missing runs: parent 1/3, change 2/3"}},
+	} {
+		var out strings.Builder
+		if err := summarise(&out, spec, c.only, pairs); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range c.want {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("-workloads %q: summary lacks %q:\n%s", c.only, want, out.String())
+			}
+		}
+	}
+	var out strings.Builder
+	if err := summarise(&out, spec, []string{"w", "x"}, pairs); err == nil {
+		t.Error("-workloads naming an undeclared workload was accepted")
 	}
 }
 

@@ -292,11 +292,16 @@ func TestPipelineLatencyPropagation(t *testing.T) {
 }
 
 // sampledExecutions is how many executions an operator's executors time:
-// ⌈n/SampleEvery⌉ of each executor's n.
+// of each executor's n, the ones metrics.Sampled picks — ⌊n/SampleEvery⌋
+// or ⌈n/SampleEvery⌉, by where the last partial block's sample falls.
 func sampledExecutions(shares []*opMetrics) int64 {
 	var want int64
 	for _, s := range shares {
-		want += (s.executed.Value() + metrics.SampleEvery - 1) / metrics.SampleEvery
+		for n := int64(1); n <= s.executed.Value(); n++ {
+			if metrics.Sampled(n) {
+				want++
+			}
+		}
 	}
 	return want
 }

@@ -217,8 +217,12 @@ func (ex *executor) feed() {
 		for _, p := range ex.inbox.take() {
 			select {
 			case ex.in <- p.at:
-			case <-ex.w.done:
-				return
+			default:
+				select {
+				case ex.in <- p.at:
+				case <-ex.w.done:
+					return
+				}
 			}
 			ex.inbox.done()
 			ex.w.grantData(p.at.Src, 1)
@@ -444,6 +448,14 @@ func (ex *executor) runBolt() {
 	ex.bolt.Prepare(&ex.ctx)
 	defer ex.bolt.Cleanup()
 	for {
+		// The non-blocking receive first: a queued tuple costs no select on
+		// done (DESIGN §8, "Hand-offs").
+		select {
+		case at := <-ex.in:
+			ex.consume(at)
+			continue
+		default:
+		}
 		select {
 		case at := <-ex.in:
 			ex.consume(at)

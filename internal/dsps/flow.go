@@ -146,9 +146,9 @@ type flowLink struct {
 	dst int32
 
 	mu sync.Mutex //whale:lockrank 30
-	// queue[head:] is the live FIFO; pop advances head instead of
+	// queue[head:] is the live FIFO; popBatch advances head instead of
 	// reslicing, and the queue restarts at the front of its array when it
-	// empties, so a steady push/pop cycle reuses one array.
+	// empties, so a steady push/popBatch cycle reuses one array.
 	queue   []flowItem
 	head    int
 	sent    int64 // cumulative units charged for delivered-to-transport sends
@@ -159,7 +159,7 @@ type flowLink struct {
 	space chan struct{} // cap 1: a queue slot freed
 
 	state       atomic.Int32
-	busy        atomic.Int32 // 1 while an item is popped but not yet sent
+	busy        atomic.Int32 // items popped in the current batch and not yet sent
 	pausedSince time.Time    // guarded by mu; zero when not paused
 	degraded    bool         // guarded by mu
 
@@ -333,56 +333,97 @@ func (l *flowLink) evictOldest() (evicted flowItem, ok bool) {
 	return flowItem{}, false
 }
 
-// run is the link's sender goroutine: pop, await credit, send, observe.
+// run is the link's sender goroutine: pop a batch, await credit for its
+// head, send it, observe. Everything behind the head was admitted by the
+// window when it was popped, so only the head can wait for credit, and the
+// batch is charged to sent and re-evaluated against the waterlines once.
 func (l *flowLink) run() {
 	defer l.fc.wg.Done()
+	var batch []flowItem
 	for {
-		it, ok := l.pop()
+		var ok bool
+		batch, ok = l.popBatch(batch[:0])
 		if !ok {
 			return
 		}
-		if it.traceID != 0 && it.pushedNS != 0 {
-			// Sampled send-queue-wait stall: residency from push to pop.
-			wait := time.Now().UnixNano() - it.pushedNS
-			l.mu.Lock()
-			l.queueWaitNS += wait
-			l.mu.Unlock()
-			l.fc.w.eng.obs.Tracer.RecordHop(it.traceID, obs.StallSendQueueWait,
-				l.fc.w.id, l.dst, 0, 0, 0, time.Unix(0, it.pushedNS), time.Duration(wait))
+		l.recordQueueWait(batch)
+		l.awaitCredit(batch[0].cost, batch[0].traceID)
+		var sent int64
+		for i := range batch {
+			it := &batch[i]
+			if l.fc.w.sendTraced(l.dst, it.raw, it.traceID) {
+				sent += it.cost
+			}
+			// The transport has copied (or dropped) the payload: recycle.
+			it.buf.release()
 		}
-		l.awaitCredit(it.cost, it.traceID)
-		if l.fc.w.sendTraced(l.dst, it.raw, it.traceID) {
-			l.mu.Lock()
-			l.sent += it.cost
-			l.mu.Unlock()
-		}
-		// The transport has copied (or dropped) the payload: recycle.
-		it.buf.release()
+		clear(batch)
+		l.mu.Lock()
+		l.sent += sent
+		l.mu.Unlock()
 		l.busy.Store(0)
 		l.observe()
 	}
 }
 
-// pop dequeues the next item, blocking until work arrives or the link
-// drains empty during shutdown.
-func (l *flowLink) pop() (flowItem, bool) {
+// recordQueueWait attributes the sampled send-queue-wait stall of the
+// batch's traced items: their residency from push to pop. Untraced items
+// carry no stamp, so an untraced batch reads no clock.
+func (l *flowLink) recordQueueWait(batch []flowItem) {
+	var now, total int64
+	for i := range batch {
+		it := &batch[i]
+		if it.traceID == 0 || it.pushedNS == 0 {
+			continue
+		}
+		if now == 0 {
+			now = time.Now().UnixNano()
+		}
+		wait := now - it.pushedNS
+		total += wait
+		l.fc.w.eng.obs.Tracer.RecordHop(it.traceID, obs.StallSendQueueWait,
+			l.fc.w.id, l.dst, 0, 0, 0, time.Unix(0, it.pushedNS), time.Duration(wait))
+	}
+	if now != 0 {
+		l.mu.Lock()
+		l.queueWaitNS += total
+		l.mu.Unlock()
+	}
+}
+
+// popBatch dequeues the head item and every item behind it that the credit
+// window still admits (CreditWindow − (sent − granted), less what the batch
+// already takes), appending them to batch. It stops at the first item the
+// window cannot admit, so that item and everything behind it stay queued —
+// visible to the waterline depth and to ShedOldest — and a credit-starved
+// link pops its head item alone. It blocks until work arrives, and returns
+// false once the link drains empty during shutdown.
+func (l *flowLink) popBatch(batch []flowItem) ([]flowItem, bool) {
 	for {
 		l.mu.Lock()
 		if l.head < len(l.queue) {
-			it := l.queue[l.head]
-			l.queue[l.head] = flowItem{}
-			l.head++
+			room := l.fc.window - (l.sent - l.granted)
+			for l.head < len(l.queue) {
+				it := &l.queue[l.head]
+				if len(batch) > 0 && it.cost > room {
+					break
+				}
+				room -= it.cost
+				batch = append(batch, *it)
+				*it = flowItem{}
+				l.head++
+			}
 			if l.head == len(l.queue) {
 				l.queue, l.head = l.queue[:0], 0
 			}
-			l.busy.Store(1)
+			l.busy.Store(int32(len(batch)))
 			l.mu.Unlock()
 			signal(l.space)
-			return it, true
+			return batch, true
 		}
 		l.mu.Unlock()
 		if l.fc.draining.Load() {
-			return flowItem{}, false
+			return batch, false
 		}
 		// No clock: close stores draining before it rings kick, and kick
 		// is taken only on this goroutine (here and in awaitCredit), each
@@ -490,7 +531,7 @@ func (l *flowLink) advancePause(now time.Time, starved time.Duration) {
 	l.mu.Unlock()
 }
 
-// observe runs the waterline state machine after each send: queue depth and
+// observe runs the waterline state machine after each batch: queue depth and
 // transport pressure drive open -> throttled; drained-below-low plus
 // available credit reopens a throttled or paused link.
 func (l *flowLink) observe() {
@@ -646,7 +687,8 @@ func (fc *flowControl) onGrant(from int32, cumulative int64) {
 }
 
 // queued reports the total work not yet handed to the transport: queued
-// items plus any item popped but still waiting for credit. Drain polls it.
+// items plus the popped batch still waiting for credit or the transport.
+// Drain polls it.
 func (fc *flowControl) queued() int {
 	n := 0
 	for i := range fc.links {
@@ -662,7 +704,7 @@ func (fc *flowControl) queued() int {
 
 // close flushes and joins every link goroutine. Called after the transfer
 // send loops have stopped, so no new pushes arrive; credit waits abort via
-// eng.stopping, and pop returns false once the queue empties.
+// eng.stopping, and popBatch returns false once the queue empties.
 func (fc *flowControl) close() {
 	fc.draining.Store(true)
 	for i := range fc.links {

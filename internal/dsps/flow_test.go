@@ -1,6 +1,7 @@
 package dsps
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -421,21 +422,24 @@ func TestCreditGrantClampAndMerge(t *testing.T) {
 	}
 }
 
-// TestFlowLinkQueueHead: pop advances a head index and the queue restarts
-// at the front of its array when it empties, so a steady push/pop cycle
-// allocates nothing. FIFO order, the live range and ShedOldest's eviction
-// hold across the slide that makes room in a full array.
+// TestFlowLinkQueueHead: popBatch advances a head index and the queue
+// restarts at the front of its array when it empties, so a steady
+// push/popBatch cycle allocates nothing. FIFO order, the live range and
+// ShedOldest's eviction hold across the slide that makes room in a full
+// array. A window of one unit makes every batch a single item.
 func TestFlowLinkQueueHead(t *testing.T) {
-	l := &flowLink{fc: &flowControl{}, kick: make(chan struct{}, 1), space: make(chan struct{}, 1)}
+	l := &flowLink{fc: &flowControl{window: 1}, kick: make(chan struct{}, 1), space: make(chan struct{}, 1)}
+	var batch []flowItem
 	pop := func() int64 {
-		it, ok := l.pop()
-		if !ok {
-			t.Fatal("pop on a non-empty queue failed")
+		var ok bool
+		batch, ok = l.popBatch(batch[:0])
+		if !ok || len(batch) != 1 {
+			t.Fatalf("popBatch on a non-empty queue: %d items (ok %v), want 1", len(batch), ok)
 		}
-		return it.tuples
+		return batch[0].tuples
 	}
 	for i := int64(1); i <= 4; i++ {
-		l.enqueue(flowItem{tuples: i, tracked: i == 3})
+		l.enqueue(flowItem{cost: 1, tuples: i, tracked: i == 3})
 	}
 	if a, b := pop(), pop(); a != 1 || b != 2 {
 		t.Fatalf("popped %d, %d, want 1, 2", a, b)
@@ -446,8 +450,8 @@ func TestFlowLinkQueueHead(t *testing.T) {
 		t.Fatalf("evicted %+v (ok %v), want item 4", ev, ok)
 	}
 	arr := cap(l.queue)
-	l.enqueue(flowItem{tuples: 5})
-	l.enqueue(flowItem{tuples: 6}) // full array, head > 0: slides instead of growing
+	l.enqueue(flowItem{cost: 1, tuples: 5})
+	l.enqueue(flowItem{cost: 1, tuples: 6}) // full array, head > 0: slides instead of growing
 	if cap(l.queue) != arr || len(l.live()) != 3 {
 		t.Fatalf("cap %d (was %d), %d live, want the same array and 3 live", cap(l.queue), arr, len(l.live()))
 	}
@@ -462,11 +466,92 @@ func TestFlowLinkQueueHead(t *testing.T) {
 	if _, ok := l.evictOldest(); ok {
 		t.Fatal("evicted from an empty queue")
 	}
+}
+
+// TestFlowLinkBatchStopsAtWindow: popBatch takes the head item and every
+// item behind it the credit window still admits, and stops at the first
+// one it cannot admit — even when a later, cheaper one would fit. A
+// credit-starved link pops its head alone; what stays queued is all
+// ShedOldest can evict, and busy counts the popped batch. A push/popBatch
+// cycle allocates nothing.
+func TestFlowLinkBatchStopsAtWindow(t *testing.T) {
+	l := &flowLink{fc: &flowControl{window: 4}, kick: make(chan struct{}, 1), space: make(chan struct{}, 1)}
+	var batch []flowItem
+	pop := func() []int64 {
+		var ok bool
+		batch, ok = l.popBatch(batch[:0])
+		if !ok {
+			t.Fatal("popBatch on a non-empty queue failed")
+		}
+		if got := l.busy.Load(); got != int32(len(batch)) {
+			t.Fatalf("busy = %d with %d items popped", got, len(batch))
+		}
+		var ids []int64
+		for _, it := range batch {
+			ids = append(ids, it.tuples)
+		}
+		return ids
+	}
+	push := func(id, cost int64, tracked bool) {
+		l.enqueue(flowItem{tuples: id, cost: cost, tracked: tracked})
+	}
+	want := func(got []int64, ids ...int64) {
+		t.Helper()
+		if !slices.Equal(got, ids) {
+			t.Fatalf("popped %v, want %v", got, ids)
+		}
+	}
+
+	// A window of 4 with nothing outstanding admits 1+2+1; the 3 that
+	// follows does not fit, and neither does anything behind it this turn.
+	push(1, 1, false)
+	push(2, 2, false)
+	push(3, 1, false)
+	push(4, 3, false)
+	push(5, 1, false)
+	want(pop(), 1, 2, 3)
+	if len(l.live()) != 2 {
+		t.Fatalf("%d items left queued, want 2", len(l.live()))
+	}
+
+	// Starved: the 4 units charged for that batch are all outstanding. The
+	// head still pops (it is the item that waits for credit), alone.
+	l.sent = 4
+	want(pop(), 4)
+	// Three units outstanding after a partial grant: room for exactly one.
+	l.granted = 1
+	push(6, 1, false)
+	want(pop(), 5)
+	want(pop(), 6)
+
+	// The head item is taken even when it alone exceeds the window.
+	l.sent, l.granted = 0, 0
+	push(7, 9, false)
+	push(8, 1, false)
+	want(pop(), 7)
+	want(pop(), 8)
+
+	// ShedOldest never evicts a popped item: only the queued tail is
+	// eligible, and a tail that is all tracked is not evictable at all.
+	push(9, 2, false)
+	push(10, 2, false)
+	push(11, 2, false)
+	push(12, 2, true)
+	want(pop(), 9, 10)
+	if ev, ok := l.evictOldest(); !ok || ev.tuples != 11 {
+		t.Fatalf("evicted %+v (ok %v), want the queued item 11", ev, ok)
+	}
+	if ev, ok := l.evictOldest(); ok {
+		t.Fatalf("evicted %+v from a tail of tracked items", ev)
+	}
+	want(pop(), 12)
+
 	allocs := testing.AllocsPerRun(200, func() {
-		l.enqueue(flowItem{tuples: 1})
-		pop()
+		push(1, 1, false)
+		push(2, 1, false)
+		batch, _ = l.popBatch(batch[:0])
 	})
 	if allocs != 0 {
-		t.Fatalf("a push/pop cycle allocates %.1f, want 0", allocs)
+		t.Fatalf("a push/popBatch cycle allocates %.1f, want 0", allocs)
 	}
 }

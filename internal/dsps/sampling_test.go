@@ -10,8 +10,9 @@ import (
 )
 
 // TestExecuteTimesOneInSixteen: 64 executions on one executor time four of
-// them — the 1st, 17th, 33rd and 49th — into the execute-time histogram and
-// ProcessingLatency, while the executed and completed counts stay exact.
+// them — one in each block of sixteen — into the execute-time histogram
+// and ProcessingLatency, while the executed and completed counts stay
+// exact.
 func TestExecuteTimesOneInSixteen(t *testing.T) {
 	const n = 64
 	eng := runUntilDrained(t, allTopology(t, n, 1, func() Spout { return &countSpout{n: n, keys: 4} }),

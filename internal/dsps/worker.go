@@ -212,22 +212,30 @@ func (w *worker) enqueueLocal(dst int32, tp *tuple.Tuple) {
 		w.eng.metrics.RouteErrors.Inc()
 		return
 	}
+	at := tuple.AddressedTuple{TaskID: dst, Src: tuple.LocalSrc, Data: tp}
 	select {
-	case ex.in <- tuple.AddressedTuple{TaskID: dst, Src: tuple.LocalSrc, Data: tp}:
-	case <-w.done:
+	case ex.in <- at:
+	default:
+		select {
+		case ex.in <- at:
+		case <-w.done:
+		}
 	}
 }
 
-// enqueueRemote delivers a remotely received tuple to a local executor and
-// grants the delivery unit back once the tuple is seated in the executor's
-// input queue. Granting on admission — not on executor drain — matters on
-// cyclic worker graphs: an executor can block mid-Execute on its own
-// credit-starved downstream emit, and drain-time grants then let two
-// mutually-loaded workers starve each other into timeout-paced stalls.
-// A full input queue parks the tuple in the executor's inbox instead of
+// enqueueRemote delivers a remotely received tuple to a local executor. It
+// grants nothing itself: it reports parked when the tuple waits in the
+// executor's inbox, whose feeder grants the delivery unit once the tuple
+// wins a queue seat; otherwise — the tuple took the direct seat, or there
+// is no such executor — the caller owes the unit now, and grants it with
+// the rest of the message's units in one call. Granting on admission — not
+// on executor drain — matters on cyclic worker graphs: an executor can
+// block mid-Execute on its own credit-starved downstream emit, and
+// drain-time grants then let two mutually-loaded workers starve each other
+// into timeout-paced stalls. A full input queue parks the tuple instead of
 // blocking: the delivery loop must keep moving so one slow executor only
-// starves its own senders (grants for its tuples stall at the feeder) while
-// siblings on the same worker keep receiving and granting.
+// starves its own senders (grants for its tuples stall at the feeder)
+// while siblings on the same worker keep receiving and granting.
 //
 // The direct seat is taken only when the inbox is idle — empty and with no
 // taken tuple the feeder has yet to seat — because everything this worker
@@ -236,12 +244,7 @@ func (w *worker) enqueueLocal(dst int32, tp *tuple.Tuple) {
 // parked tuple would cut that tuple out of its epoch. The delivery
 // goroutine is the inbox's only producer, so idle cannot turn false
 // between the test and the seat.
-//
-// It reports whether the tuple entered an executor queue — a missing
-// executor means the unit must be granted back by the caller instead.
-//
-//whale:grants
-func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) bool {
+func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) (parked bool) {
 	ex, ok := w.execMap()[dst]
 	if !ok {
 		w.eng.metrics.RouteErrors.Inc()
@@ -251,8 +254,7 @@ func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) bool {
 	if ex.inbox.idle() {
 		select {
 		case ex.in <- at:
-			w.grantData(from, 1)
-			return true
+			return false
 		default:
 		}
 	}
@@ -272,7 +274,11 @@ func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) bool {
 func (w *worker) enqueueSend(j sendJob) {
 	select {
 	case w.transfer <- j:
-	case <-w.done:
+	default:
+		select {
+		case w.transfer <- j:
+		case <-w.done:
+		}
 	}
 }
 
@@ -328,6 +334,12 @@ func (w *worker) emitAll(ex *executor, tp *tuple.Tuple, d destination) {
 func (w *worker) sendLoop() {
 	defer w.sendWG.Done()
 	for {
+		select {
+		case j := <-w.transfer:
+			w.process(j)
+			continue
+		default:
+		}
 		select {
 		case j := <-w.transfer:
 			w.process(j)
@@ -678,30 +690,28 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		t0 = metrics.Clock(traced)
 		src := int32(from)
 		// The sender charged max(1, len(DstIDs)) units; every unit must be
-		// granted back — on drain for delivered tuples, immediately for the
-		// ones that can never drain (decode error, missing executor).
-		total := int64(len(msg.DstIDs)) //whale:charged multi
-		if total < 1 {
-			total = 1
+		// granted back — by the feeder for a parked tuple, in this
+		// message's one grant for the rest: seated tuples, and the ones
+		// that can never be delivered (decode error, missing executor).
+		owed := int64(len(msg.DstIDs)) //whale:charged multi
+		if owed < 1 {
+			owed = 1
 		}
 		tp, _, err := tuple.DecodeTuple(msg.Payload)
 		if err != nil {
 			w.eng.metrics.DecodeErrors.Inc()
-			w.grantData(src, total)
+			w.grantData(src, owed)
 			return
 		}
 		if sampled && msg.Kind == tuple.KindWorkerMessage && tp.RootEmitNS > 0 {
 			w.eng.metrics.MulticastLatency.Observe(metrics.Clock(true).UnixNano() - tp.RootEmitNS)
 		}
-		var delivered int64
 		for _, dst := range msg.DstIDs {
 			if w.enqueueRemote(src, dst, tp) {
-				delivered++
+				owed--
 			}
 		}
-		if total > delivered {
-			w.grantData(src, total-delivered)
-		}
+		w.grantData(src, owed)
 		if traced {
 			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
 				src, 0, 0, 0, t0, metrics.Since(t0))
@@ -709,18 +719,22 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 
 	case tuple.KindMulticastMessage:
 		src := int32(from)
-		localCost := int64(len(w.eng.groupLocalTasks(msg.Group, w.id))) //whale:charged multi
+		locals := w.eng.groupLocalTasks(msg.Group, w.id)
+		// The sender charged multicastCost: the relay-acceptance unit plus
+		// one per local task. The feeder grants a parked tuple's unit; the
+		// rest go back in this message's one grant.
+		owed := 1 + int64(len(locals)) //whale:charged multi
 		gs, ok := w.groups[msg.Group]
 		if !ok {
 			w.eng.metrics.DecodeErrors.Inc()
-			w.grantData(src, 1+localCost)
+			w.grantData(src, owed)
 			return
 		}
 		t0 = metrics.Clock(traced)
 		tp, _, err := tuple.DecodeTuple(msg.Payload)
 		if err != nil {
 			w.eng.metrics.DecodeErrors.Inc()
-			w.grantData(src, 1+localCost)
+			w.grantData(src, owed)
 			return
 		}
 		relayed := false
@@ -741,11 +755,10 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		} else {
 			w.eng.metrics.RouteErrors.Inc()
 		}
-		// Relay-acceptance unit: granted only once the message has a seat
-		// on the transfer queue (enqueueSend blocks when it is full), so a
-		// congested relay withholds the grant and the parent stalls —
+		// The relay-acceptance unit is granted below, after the message has
+		// a seat on the transfer queue (enqueueSend blocks when it is full),
+		// so a congested relay withholds the grant and the parent stalls —
 		// backpressure propagates up the tree hop by hop.
-		w.grantData(src, 1)
 		if relayed && traced {
 			// The hop covers the decode and the relay enqueue.
 			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageTreeHop, w.id,
@@ -755,11 +768,12 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 			w.eng.metrics.MulticastLatency.Observe(metrics.Clock(true).UnixNano() - tp.RootEmitNS)
 		}
 		t1 := metrics.Clock(traced)
-		for _, dst := range w.eng.groupLocalTasks(msg.Group, w.id) {
-			if !w.enqueueRemote(src, dst, tp) {
-				w.grantData(src, 1)
+		for _, dst := range locals {
+			if w.enqueueRemote(src, dst, tp) {
+				owed--
 			}
 		}
+		w.grantData(src, owed)
 		if traced {
 			w.eng.obs.Tracer.RecordHop(tp.TraceID, obs.StageDispatch, w.id,
 				src, msg.TreeVersion, hopDepth, 0, t1, metrics.Since(t1))

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"fmt"
+	"maps"
 	"sync"
+	"sync/atomic"
 
 	"whale/internal/rdma"
 )
@@ -44,7 +46,8 @@ func (n *RDMANetwork) Register(id WorkerID, h Handler) (Transport, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &rdmaTransport{net: n, id: id, ep: ep, handler: h, chans: map[WorkerID]*rdma.Channel{}}
+	t := &rdmaTransport{net: n, id: id, ep: ep, handler: h}
+	t.chans.Store(&map[WorkerID]*rdma.Channel{})
 	ep.OnAccept(func(remote string, ch *rdma.Channel) {
 		from, perr := parseWorkerDevName(remote)
 		if perr != nil {
@@ -98,8 +101,11 @@ type rdmaTransport struct {
 	ep      *rdma.Endpoint
 	handler Handler
 
+	// chans is the dialled channels by destination, an immutable map
+	// replaced copy-on-write: every Send and every Pressure read pays one
+	// atomic load, and only dialling a new destination takes mu.
 	mu    sync.Mutex
-	chans map[WorkerID]*rdma.Channel
+	chans atomic.Pointer[map[WorkerID]*rdma.Channel]
 
 	acceptMu sync.Mutex
 	accepted []*rdma.Channel // receiving halves, for their poll counters
@@ -122,10 +128,14 @@ func (t *rdmaTransport) Send(to WorkerID, payload []byte) error {
 }
 
 func (t *rdmaTransport) chanTo(to WorkerID) (*rdma.Channel, error) {
+	if ch, ok := (*t.chans.Load())[to]; ok {
+		return ch, nil
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if ch, ok := t.chans[to]; ok {
-		return ch, nil
+	old := *t.chans.Load()
+	if ch, ok := old[to]; ok {
+		return ch, nil // dialled while this call waited for mu
 	}
 	t.net.mu.Lock()
 	_, known := t.net.workers[to]
@@ -137,19 +147,15 @@ func (t *rdmaTransport) chanTo(to WorkerID) (*rdma.Channel, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.chans[to] = ch
+	next := maps.Clone(old)
+	next[to] = ch
+	t.chans.Store(&next)
 	return ch, nil
 }
 
 // Flush implements Transport: it forces all per-destination batches out.
 func (t *rdmaTransport) Flush() error {
-	t.mu.Lock()
-	chans := make([]*rdma.Channel, 0, len(t.chans))
-	for _, ch := range t.chans {
-		chans = append(chans, ch)
-	}
-	t.mu.Unlock()
-	for _, ch := range chans {
+	for _, ch := range *t.chans.Load() {
 		if err := ch.Flush(); err != nil {
 			return err
 		}
@@ -164,9 +170,7 @@ func (t *rdmaTransport) Stats() *Stats { return &t.stats }
 // region (pending batch + published-but-unconsumed bytes) as a percentage of
 // its size. A destination that was never dialed has no ring and no pressure.
 func (t *rdmaTransport) Pressure(to WorkerID) int {
-	t.mu.Lock()
-	ch, ok := t.chans[to]
-	t.mu.Unlock()
+	ch, ok := (*t.chans.Load())[to]
 	if !ok {
 		return 0
 	}
@@ -178,11 +182,9 @@ func (t *rdmaTransport) Pressure(to WorkerID) int {
 // and time) of those it accepted.
 func (t *rdmaTransport) ChannelStats() rdma.StatsSnapshot {
 	var agg rdma.StatsSnapshot
-	t.mu.Lock()
-	for _, ch := range t.chans {
+	for _, ch := range *t.chans.Load() {
 		agg.Add(ch.Stats())
 	}
-	t.mu.Unlock()
 	t.acceptMu.Lock()
 	defer t.acceptMu.Unlock()
 	for _, ch := range t.accepted {
@@ -196,14 +198,8 @@ func (t *rdmaTransport) ChannelStats() rdma.StatsSnapshot {
 // dialed channels. The engine's observability layer polls it as the
 // per-worker "rdma.ring_occupancy" gauge.
 func (t *rdmaTransport) RingOccupancy() int {
-	t.mu.Lock()
-	chans := make([]*rdma.Channel, 0, len(t.chans))
-	for _, ch := range t.chans {
-		chans = append(chans, ch)
-	}
-	t.mu.Unlock()
 	occ := 0
-	for _, ch := range chans {
+	for _, ch := range *t.chans.Load() {
 		occ += ch.RingOccupancy()
 	}
 	return occ

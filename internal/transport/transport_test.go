@@ -120,8 +120,8 @@ func TestRoundTripAllTransports(t *testing.T) {
 	}
 }
 
-// TestSendNSSampled: timedSend times the 1st, 17th, 33rd and 49th of 64
-// sends and adds SampleEvery times each, so SendNS estimates the total wall
+// TestSendNSSampled: timedSend times one in each block of 16 of 64 sends —
+// four — and adds SampleEvery times each, so SendNS estimates the total wall
 // time of all 64 within 2x while every count stays exact. Each send spins
 // for a fixed time, so the estimate is not at the mercy of nanosecond
 // noise; a run the scheduler still skews gets three tries.
@@ -350,5 +350,73 @@ func TestIsTransientClassification(t *testing.T) {
 		if IsTransient(err) {
 			t.Fatalf("%v classified transient", err)
 		}
+	}
+}
+
+// TestRDMAConcurrentFirstSends: senders racing to reach fresh peers dial
+// each peer exactly once, every message arrives, and Pressure, Flush and
+// the stats aggregates read the channel map meanwhile without a lock. Run
+// under -race.
+func TestRDMAConcurrentFirstSends(t *testing.T) {
+	const peers, sendersPerPeer, msgs = 6, 4, 20
+	net := NewRDMANetwork(rdma.CostModel{}, rdma.ChannelConfig{MMS: 4 << 10})
+	defer net.Close()
+	sink := newCollector()
+	tr, err := net.Register(0, func(WorkerID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := WorkerID(1); p <= peers; p++ {
+		if _, err := net.Register(p, sink.handler); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt := tr.(*rdmaTransport)
+	stop := make(chan struct{})
+	var readers, senders sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for p := WorkerID(1); p <= peers; p++ {
+				if pct := tr.Pressure(p); pct < 0 || pct > 100 {
+					t.Errorf("Pressure(%d) = %d", p, pct)
+				}
+			}
+			_ = rt.RingOccupancy()
+			_ = rt.ChannelStats()
+			_ = tr.Flush()
+		}
+	}()
+	for p := WorkerID(1); p <= peers; p++ {
+		for s := 0; s < sendersPerPeer; s++ {
+			senders.Add(1)
+			go func(p WorkerID) {
+				defer senders.Done()
+				for i := 0; i < msgs; i++ {
+					if err := tr.Send(p, []byte("x")); err != nil {
+						t.Errorf("send to %d: %v", p, err)
+					}
+				}
+			}(p)
+		}
+	}
+	senders.Wait()
+	close(stop)
+	readers.Wait()
+	if err := tr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitTotal(t, sink, peers*sendersPerPeer*msgs)
+	if n := len(*rt.chans.Load()); n != peers {
+		t.Fatalf("%d channels dialled for %d peers", n, peers)
+	}
+	if got := rt.ChannelStats().MsgsSent; got != peers*sendersPerPeer*msgs {
+		t.Fatalf("channels sent %d messages, want %d", got, peers*sendersPerPeer*msgs)
 	}
 }
