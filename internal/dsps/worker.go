@@ -228,14 +228,16 @@ func (w *worker) enqueueLocal(dst int32, tp *tuple.Tuple) {
 // executor's inbox, whose feeder grants the delivery unit once the tuple
 // wins a queue seat; otherwise — the tuple took the direct seat, or there
 // is no such executor — the caller owes the unit now, and grants it with
-// the rest of the message's units in one call. Granting on admission — not
-// on executor drain — matters on cyclic worker graphs: an executor can
-// block mid-Execute on its own credit-starved downstream emit, and
-// drain-time grants then let two mutually-loaded workers starve each other
-// into timeout-paced stalls. A full input queue parks the tuple instead of
+// the rest of the message's units in one call.
+//
+// Granting on admission — not on executor drain — matters on cyclic worker
+// graphs: an executor can block mid-Execute on its own credit-starved
+// downstream emit, and drain-time grants then let two mutually-loaded
+// workers starve each other into timeout-paced stalls.
+// A full input queue parks the tuple in the executor's inbox instead of
 // blocking: the delivery loop must keep moving so one slow executor only
-// starves its own senders (grants for its tuples stall at the feeder)
-// while siblings on the same worker keep receiving and granting.
+// starves its own senders (grants for its tuples stall at the feeder) while
+// siblings on the same worker keep receiving and granting.
 //
 // The direct seat is taken only when the inbox is idle — empty and with no
 // taken tuple the feeder has yet to seat — because everything this worker
