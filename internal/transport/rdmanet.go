@@ -101,9 +101,9 @@ type rdmaTransport struct {
 	ep      *rdma.Endpoint
 	handler Handler
 
-	// chans is the dialled channels by destination, an immutable map
-	// replaced copy-on-write: every Send and every Pressure read pays one
-	// atomic load, and only dialling a new destination takes mu.
+	// chans is the dialled channels by destination: an immutable map
+	// replaced copy-on-write, so every Send and every Pressure read pays
+	// one atomic load. mu serialises dialling a new destination.
 	mu    sync.Mutex
 	chans atomic.Pointer[map[WorkerID]*rdma.Channel]
 
