@@ -216,22 +216,19 @@ func nonzeroRand(r *rand.Rand) int64 {
 // block is set it waits for at least one event (or engine shutdown).
 func (ex *executor) drainSpoutEvents(block bool) {
 	for {
-		if block {
-			select {
-			case at := <-ex.in:
-				ex.handleSpoutEvent(at.Data)
-				block = false
-				continue
-			case <-ex.w.eng.stopSpouts:
-				return
-			case <-ex.w.done:
-				return
-			}
+		batch := ex.take()
+		for i := range batch {
+			ex.handleSpoutEvent(batch[i].at.Data)
+			ex.inbox.done()
+		}
+		if len(batch) > 0 || !block {
+			return
 		}
 		select {
-		case at := <-ex.in:
-			ex.handleSpoutEvent(at.Data)
-		default:
+		case <-ex.inbox.kick:
+		case <-ex.w.eng.stopSpouts:
+			return
+		case <-ex.w.done:
 			return
 		}
 	}

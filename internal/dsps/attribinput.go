@@ -14,7 +14,7 @@ import (
 // it, so the capture is cheap and may run while the topology is hot.
 //
 // The live engine emits three worker-component roles: executors (sampled
-// overflow residency vs an executed-rate M/D/1 profile), sources (send
+// inbox residency vs an executed-rate M/D/1 profile), sources (send
 // retry/replay backoff) and RDMA rings (ring-full blocking). Relay
 // congestion surfaces through the per-link samples; the simulated cluster
 // additionally models relays as explicit components.

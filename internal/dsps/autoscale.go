@@ -503,7 +503,7 @@ func (a *autoscaler) registerObs() {
 }
 
 // opQueueLen sums the queued-tuple depth across one operator's executors
-// (input channels plus admission overflow).
+// (their inboxes, taken batches included).
 func (e *Engine) opQueueLen(op string) int {
 	n := 0
 	for _, w := range e.workers {

@@ -45,7 +45,7 @@ import (
 
 // Stream names of the checkpoint plane. StreamBarrier frames ride the data
 // plane; trigger and restore markers are injected out of band into executor
-// queues (like ticks) because they carry no ordering requirement against
+// inboxes (like ticks) because they carry no ordering requirement against
 // data.
 const (
 	// StreamBarrier carries epoch barrier frames (Tuple.Epoch = epoch).
@@ -76,7 +76,7 @@ type checkpointCoordinator struct {
 	started   time.Time
 	expected  map[int32]bool // tasks that must ack the current phase
 	acked     map[int32]bool
-	injected  map[int32]bool // tasks whose marker won a queue seat this attempt
+	injected  map[int32]bool // tasks given this attempt's marker
 
 	sourceGone     bool           // a source executor exited; no further epochs
 	exited         map[int32]bool // spout tasks whose executor loop ended
@@ -220,9 +220,8 @@ func (c *checkpointCoordinator) restoreMarker() *tuple.Tuple {
 	return &tuple.Tuple{Stream: streamCkptRestore, Epoch: c.fence, Values: []tuple.Value{c.restoreFrom}}
 }
 
-// inject offers the marker to every listed task that has not yet received
-// one this attempt. Injection is non-blocking — a full executor queue is
-// retried on the next tick rather than wedging the loop.
+// inject puts the marker, without waiting, in the inbox of every listed
+// task that has not yet received one this attempt.
 func (c *checkpointCoordinator) inject(targets []int32, tp *tuple.Tuple) {
 	tv := c.eng.tv()
 	for _, tid := range targets {
@@ -234,12 +233,8 @@ func (c *checkpointCoordinator) inject(targets []int32, tp *tuple.Tuple) {
 		if !ok {
 			continue
 		}
-		at := tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc, Data: tp}
-		select {
-		case ex.in <- at:
-			c.injected[tid] = true
-		default:
-		}
+		ex.put(tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc, Data: tp})
+		c.injected[tid] = true
 	}
 }
 
@@ -392,12 +387,9 @@ func (c *checkpointCoordinator) noteSpoutExit(ex *executor) {
 	if c.epoch != 0 {
 		c.abortEpoch(fmt.Sprintf("source task %d exited mid-epoch", ex.ctx.TaskID))
 	}
-	for {
-		select {
-		case <-ex.in:
-		default:
-			return
-		}
+	// The executor loop has ended, so this loop is the inbox's consumer now.
+	for range ex.take() {
+		ex.inbox.done()
 	}
 }
 
@@ -503,8 +495,6 @@ func (c *checkpointCoordinator) applyRescale(epoch int64) {
 		w.addExecutor(ex)
 		w.wg.Add(1)
 		go ex.runBolt()
-		w.wg.Add(1)
-		go ex.feed()
 	}
 	e.view.Store(&topoView{assign: na, remoteBy: buildRemote(e.topo, na, e.cfg.MaxWorkers)})
 	c.tasks = c.tasks[:0]

@@ -41,13 +41,13 @@ func (b *orderBolt) SnapshotState() ([]byte, error) {
 func (b *orderBolt) RestoreState([]byte) error { return nil }
 
 // TestRemoteDeliveryKeepsLinkOrder: everything one worker receives for one
-// executor reaches it in arrival order, whether a tuple took the direct seat
-// or was parked behind a full input queue — the per-link FIFO that barrier
-// alignment relies on. One producer (standing in for the delivery loop)
-// sends bursts of three into an input queue of one, so most tuples park, and
-// starts the next burst once the sink has executed all but the last tuple —
-// the moment the feeder is seating that one. With barriers, each must cut
-// exactly the tuples sent before it.
+// executor reaches it in arrival order, whether a tuple found room or was
+// parked behind a full inbox — the per-link FIFO that barrier alignment
+// relies on. One producer (standing in for the delivery loop) sends bursts
+// of three into an inbox of one, so most tuples park, and starts the next
+// burst once the sink has executed all but the last tuple — the moment the
+// executor is taking that one. With barriers, each must cut exactly the
+// tuples sent before it.
 func TestRemoteDeliveryKeepsLinkOrder(t *testing.T) {
 	const total, burst = 60000, 3
 	for _, tc := range []struct {
@@ -204,10 +204,10 @@ func drainedFrom(w *worker, src int32) int64 {
 // comes back exactly once, whichever way the receiver disposes of it. A
 // message the delivery loop cannot decode, or whose tasks have no
 // executor here, is granted in full at once. A multicast message reaching
-// a worker with k local tasks, one of which has a full input queue, grants
-// the relay-acceptance unit and the k-1 direct seats from the delivery
-// loop and the parked tuple's unit from the feeder once it is seated:
-// 1+k in total.
+// a worker with k local tasks, one of which has a full inbox, grants the
+// relay-acceptance unit and the k-1 admitted tuples from the delivery loop
+// and the parked tuple's unit from the executor once it takes it: 1+k in
+// total.
 func TestDeliverGrantsEveryUnitOnce(t *testing.T) {
 	gate := make(chan struct{})
 	openGate := sync.OnceFunc(func() { close(gate) })
@@ -288,25 +288,166 @@ func TestDeliverGrantsEveryUnitOnce(t *testing.T) {
 	want++
 	expect("multicast message for an unknown group", want)
 
-	// Fill the first local task's input queue: one filler blocks in Execute
-	// on the gate, the next takes the only seat. Local fillers owe no units.
+	// Fill the first local task's inbox: one filler blocks in Execute on the
+	// gate, the next waits untaken. Local fillers owe no units.
 	full := w.execMap()[locals[0]]
 	for i := 0; i < 2; i++ {
-		full.in <- tuple.AddressedTuple{TaskID: locals[0], Src: tuple.LocalSrc, Data: data}
+		w.enqueueLocal(locals[0], data)
 	}
 	deliver(workerMessage(t, mc, data, nil))
-	if full.inbox.len() != 1 {
-		t.Fatalf("%d tuples parked for the full task, want 1", full.inbox.len())
+	if n := owedIn(full); n != 1 {
+		t.Fatalf("%d tuples parked for the full task, want 1", n)
 	}
 	want += k // the relay-acceptance unit and k-1 direct seats
 	expect("multicast message before the parked tuple is seated", want)
 	openGate()
-	want++ // the feeder seats the parked tuple
+	want++ // the executor takes the parked tuple
 	expect("multicast message after the parked tuple is seated", want)
 	if !eng.Drain(5 * time.Second) {
 		t.Fatal("engine did not drain")
 	}
 	expect("after the drain", want)
+}
+
+// owedIn counts the entries in ex's inbox whose units are owed until taken.
+func owedIn(ex *executor) int {
+	ex.inbox.mu.Lock()
+	defer ex.inbox.mu.Unlock()
+	n := 0
+	for _, e := range ex.inbox.q {
+		if e.owed {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOwedUnitsGrantedOnTake: a remote tuple put behind a full inbox owes
+// its unit, and the executor grants it when it takes the tuple — before
+// running it, one grant per source worker per take. Tuples from two source
+// workers land behind a cap-1 inbox whose task is stalled: none is granted
+// at put, and each source gets exactly its count back once the batch is
+// taken, while the task is stalled again on the batch's first tuple.
+func TestOwedUnitsGrantedOnTake(t *testing.T) {
+	release := make(chan struct{})
+	stop := make(chan struct{})
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return &countSpout{n: 0, keys: 1} }, 1)
+	b.Bolt("sink", func() Bolt {
+		return &funcBolt{exec: func(*TaskContext, *tuple.Tuple, *Collector) {
+			select {
+			case <-release:
+			case <-stop:
+			}
+		}}
+	}, 1).Shuffle("src")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Start(topo, Config{Workers: 3, Network: transport.NewInprocNetwork(0), ExecutorQueueCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	defer close(stop) // before Stop: the sink blocks until released
+	eng.WaitSpouts()
+
+	dst := eng.assign.TasksOf["sink"][0]
+	w := eng.workers[eng.assign.WorkerOf[dst]]
+	ex := w.execMap()[dst]
+	a, c := (w.id+1)%3, (w.id+2)%3
+	filler := &tuple.Tuple{Stream: "src", Values: []tuple.Value{int64(0), "k"}, RootEmitNS: 1}
+	w.enqueueLocal(dst, filler) // taken at once; blocks in Execute
+	w.enqueueLocal(dst, filler) // waits for that take, then fills the inbox
+	baseA, baseC := drainedFrom(w, a), drainedFrom(w, c)
+	for i, src := range []int32{a, c, a, a, c} {
+		if !w.enqueueRemote(src, dst, filler) {
+			t.Fatalf("remote tuple %d was admitted into a full inbox", i)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // a grant at put would land by now
+	if da, dc := drainedFrom(w, a)-baseA, drainedFrom(w, c)-baseC; da != 0 || dc != 0 {
+		t.Fatalf("granted %d and %d units at put, want none", da, dc)
+	}
+	release <- struct{}{} // the first filler finishes; the rest is one take
+	for deadline := time.Now().Add(5 * time.Second); ex.untaken.Load() != 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the executor never took the owed tuples")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond) // a double grant would land by now
+	if da, dc := drainedFrom(w, a)-baseA, drainedFrom(w, c)-baseC; da != 3 || dc != 2 {
+		t.Fatalf("granted %d and %d units once taken, want 3 and 2", da, dc)
+	}
+}
+
+// TestLocalPutWaitsForRoom: local producers wait while the inbox is full
+// and are woken by the executor's takes. Four producers block behind a
+// cap-1 inbox whose task is stalled; once it runs, every producer finishes,
+// each one's tuples arrive in its own order, and no wake-up is lost.
+func TestLocalPutWaitsForRoom(t *testing.T) {
+	const producers, perProducer = 4, 500
+	gate := make(chan struct{})
+	openGate := sync.OnceFunc(func() { close(gate) })
+	var last [producers]int64 // bolt goroutine only
+	var seen, inverted atomic.Int64
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return &countSpout{n: 0, keys: 1} }, 1)
+	b.Bolt("sink", func() Bolt {
+		return &funcBolt{exec: func(_ *TaskContext, tp *tuple.Tuple, _ *Collector) {
+			<-gate
+			p, seq := tp.Int(0), tp.Int(1)
+			if seq != last[p]+1 {
+				inverted.Add(1)
+			}
+			last[p] = seq
+			seen.Add(1)
+		}}
+	}, 1).Shuffle("src")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Start(topo, Config{Workers: 1, Network: transport.NewInprocNetwork(0), ExecutorQueueCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	defer openGate() // before Stop on every path: the sink blocks on it
+	eng.WaitSpouts()
+
+	dst := eng.assign.TasksOf["sink"][0]
+	w := eng.workers[eng.assign.WorkerOf[dst]]
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int64) {
+			defer wg.Done()
+			for seq := int64(1); seq <= perProducer; seq++ {
+				w.enqueueLocal(dst, &tuple.Tuple{Stream: "src", Values: []tuple.Value{p, seq}})
+			}
+		}(int64(p))
+	}
+	time.Sleep(20 * time.Millisecond) // every producer is waiting by now
+	openGate()
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("producers stuck: the sink saw %d of %d tuples", seen.Load(), producers*perProducer)
+	}
+	if !eng.Drain(5 * time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	if got := seen.Load(); got != producers*perProducer {
+		t.Fatalf("sink saw %d tuples, want %d", got, producers*perProducer)
+	}
+	if n := inverted.Load(); n != 0 {
+		t.Fatalf("%d tuples arrived out of their producer's order", n)
+	}
 }
 
 // TestDrainWaitsForPoppedBatch: a batch a flow link has popped but not yet

@@ -82,7 +82,8 @@ type Config struct {
 	Multicast MulticastMode
 	// TransferQueueCap is Q, the transfer queue capacity (default 1024).
 	TransferQueueCap int
-	// ExecutorQueueCap bounds executor inbound queues (default 4096).
+	// ExecutorQueueCap bounds executor inbound queues (default 4096): local
+	// producers wait for room, and a remote tuple beyond it is credited on take.
 	ExecutorQueueCap int
 	// Control configures the self-adjusting controller.
 	Control control.Config
@@ -279,7 +280,7 @@ type Metrics struct {
 	LinkPauses      metrics.Counter // link transitions into the paused state
 	DrainTimeouts   metrics.Counter // Stop drains that hit DrainTimeout
 	ReplayNS        metrics.Counter // total send retry-backoff (replay) time
-	ExecQueueWaitNS metrics.Counter // sampled executor-overflow residency of traced tuples
+	ExecQueueWaitNS metrics.Counter // sampled put-to-take executor-inbox residency of traced tuples
 
 	EpochsCompleted metrics.Counter // snapshot epochs committed
 	EpochsAborted   metrics.Counter // snapshot epochs discarded (timeout/failure)
@@ -408,9 +409,9 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("dsps: MaxSpoutPending requires AckEnabled")
 	}
 	if cfg.MaxSpoutPending > cfg.ExecutorQueueCap {
-		// The acker answers each tree on the spout's input queue. With
-		// fewer seats than trees in flight, a co-located acker blocks on
-		// that full queue while the spout blocks emitting to the acker.
+		// The acker answers each tree in the spout's inbox. With room for
+		// fewer answers than trees in flight, a co-located acker waits for
+		// room there while the spout blocks emitting to the acker.
 		return nil, fmt.Errorf("dsps: MaxSpoutPending %d exceeds ExecutorQueueCap %d: the spout and its acker would block on each other's full queues",
 			cfg.MaxSpoutPending, cfg.ExecutorQueueCap)
 	}
@@ -522,8 +523,6 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 				w.wg.Add(1)
 				go ex.runBolt()
 			}
-			w.wg.Add(1)
-			go ex.feed()
 		}
 		w.sendWG.Add(1)
 		go w.sendLoop()
@@ -1031,7 +1030,7 @@ func (e *Engine) Stop() {
 const StreamTick = "__tick"
 
 // userTicker delivers tick tuples to one operator's executors at its
-// configured period until the engine stops.
+// configured period until the engine stops, never waiting on a stalled one.
 func (e *Engine) userTicker(op string, interval time.Duration) {
 	defer e.auxWG.Done()
 	ticker := time.NewTicker(interval)
@@ -1049,13 +1048,8 @@ func (e *Engine) userTicker(op string, interval time.Duration) {
 				if !ok {
 					continue
 				}
-				tick := tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc,
-					Data: &tuple.Tuple{Stream: StreamTick, RootEmitNS: now}}
-				select {
-				case ex.in <- tick:
-				case <-e.stopTick:
-					return
-				}
+				ex.put(tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc,
+					Data: &tuple.Tuple{Stream: StreamTick, RootEmitNS: now}})
 			}
 		}
 	}
@@ -1082,13 +1076,8 @@ func (e *Engine) ackTicker() {
 				if !ok {
 					continue
 				}
-				tick := tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc,
-					Data: &tuple.Tuple{Stream: streamAckTick}}
-				select {
-				case ex.in <- tick:
-				case <-e.stopTick:
-					return
-				}
+				ex.put(tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc,
+					Data: &tuple.Tuple{Stream: streamAckTick}})
 			}
 		}
 	}

@@ -610,6 +610,45 @@ func TestTickTuples(t *testing.T) {
 	}
 }
 
+// TestStalledTaskKeepsSiblingTicks: ticks go to an operator's tasks one
+// after another, and a task stalled in Execute with a full inbox must not
+// hold back its sibling's ticks.
+func TestStalledTaskKeepsSiblingTicks(t *testing.T) {
+	gate := make(chan struct{})
+	var siblingTicks metrics.Counter
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return &countSpout{n: 0, keys: 1} }, 1)
+	b.Bolt("win", func() Bolt {
+		return &funcBolt{exec: func(ctx *TaskContext, tp *tuple.Tuple, _ *Collector) {
+			if tp.Stream != StreamTick {
+				return
+			}
+			if ctx.TaskIndex == 0 {
+				<-gate
+			} else {
+				siblingTicks.Inc()
+			}
+		}}
+	}, 2).Shuffle("src").TickEvery(10 * time.Millisecond)
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Start(topo, Config{Workers: 1, Network: transport.NewInprocNetwork(0), ExecutorQueueCap: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	defer close(gate) // before Stop: task 0 blocks on it
+	const want = 20   // the stalled task's inbox filled after its first two
+	for deadline := time.Now().Add(10 * time.Second); siblingTicks.Value() < want; {
+		if time.Now().After(deadline) {
+			t.Fatalf("task 1 got %d ticks while task 0 stalled, want %d", siblingTicks.Value(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestReconfigurationEventOrdering(t *testing.T) {
 	// Drive the multicast manager's switch logic directly (the hour-long
 	// monitor interval keeps the ticker out of the way): a scale-down

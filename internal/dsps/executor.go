@@ -91,7 +91,6 @@ type executor struct {
 	isSink   bool
 	spout    Spout
 	bolt     Bolt
-	in       chan tuple.AddressedTuple
 	col      *Collector
 	nextID   int64
 	curRoot  int64 // root-emit timestamp inherited from the tuple being executed
@@ -102,14 +101,17 @@ type executor struct {
 	// execute's clock reads (this goroutine only).
 	execs int64
 
-	// inbox is the admission overflow: remote tuples that found the input
-	// queue full are parked here and moved into `in` by the feeder goroutine,
-	// so the worker's delivery loop never blocks on one slow executor — a
-	// stalled task stops its own senders (grants are issued only when a tuple
-	// wins a queue seat), not its siblings'. Occupancy is bounded by the
-	// credit protocol: once grants stall, every upstream sender stops within
-	// its window.
-	inbox *mailbox[parkedTuple]
+	// inbox is the executor's one input queue — remote and local tuples,
+	// markers and ticks, in put order — taken a batch at a time, so one
+	// link's tuples arrive in order (DESIGN §13's barriers rely on it). At
+	// queueCap untaken entries local producers wait on room, and a remote
+	// tuple's unit is owed until taken: a stalled task stops its own
+	// senders, not its siblings'. Those senders' windows bound the overflow.
+	inbox    *mailbox[inboxEntry]
+	untaken  atomic.Int64  // entries put and not yet taken
+	queueCap int64         // Config.ExecutorQueueCap
+	room     chan struct{} // cap 1: rung after every take
+	owedBy   []int64       // per source worker: a taken batch's owed units
 
 	// Reliability state.
 	rng          *rand.Rand
@@ -133,28 +135,28 @@ type executor struct {
 	alignParked atomic.Int64
 }
 
-// parkedTuple is one remote tuple waiting in an executor's inbox for a seat.
-type parkedTuple struct {
-	at tuple.AddressedTuple
-	// stampNS is the park time of a traced tuple (zero for untraced ones),
-	// from which feed attributes the residency as an executor-queue-wait
-	// stall.
-	stampNS int64
+// inboxEntry is one tuple in an executor's inbox.
+type inboxEntry struct {
+	at      tuple.AddressedTuple
+	owed    bool  // its delivery unit is granted on take, not on put
+	stampNS int64 // a traced tuple's put time, zero for untraced ones
 }
 
-func newExecutor(w *worker, ctx TaskContext, spec *OperatorSpec, assign *Assignment, rt *router, isSink bool, queueDepth int) *executor {
+func newExecutor(w *worker, ctx TaskContext, spec *OperatorSpec, assign *Assignment, rt *router, isSink bool, queueCap int) *executor {
 	ops := &opMetrics{} // this executor's private share, merged on read
 	w.eng.addOpShare(ctx.OperatorID, ops)
 	ex := &executor{
-		ctx:    ctx,
-		w:      w,
-		rt:     rt,
-		spec:   spec,
-		isSink: isSink,
-		in:     make(chan tuple.AddressedTuple, queueDepth),
-		ops:    ops,
-		inbox:  newMailbox[parkedTuple](),
-		rng:    rand.New(rand.NewSource(int64(ctx.TaskID)*7919 + 1)),
+		ctx:      ctx,
+		w:        w,
+		rt:       rt,
+		spec:     spec,
+		isSink:   isSink,
+		ops:      ops,
+		inbox:    newMailbox[inboxEntry](),
+		queueCap: int64(queueCap),
+		room:     make(chan struct{}, 1),
+		owedBy:   make([]int64, w.eng.cfg.MaxWorkers),
+		rng:      rand.New(rand.NewSource(int64(ctx.TaskID)*7919 + 1)),
 	}
 	ex.col = &Collector{ex: ex}
 	if spec.IsSpout {
@@ -207,44 +209,80 @@ func (ex *executor) rebuildRouting() {
 	}
 }
 
-// feed moves parked tuples into the executor's input queue in arrival order,
-// granting each tuple's delivery unit once it wins a seat. A tuple is done
-// only once seated: until then the inbox is not idle and enqueueRemote
-// keeps queueing behind it.
-func (ex *executor) feed() {
-	defer ex.w.wg.Done()
-	for {
-		for _, p := range ex.inbox.take() {
-			select {
-			case ex.in <- p.at:
-			default:
-				select {
-				case ex.in <- p.at:
-				case <-ex.w.done:
-					return
-				}
-			}
-			ex.inbox.done()
-			ex.w.grantData(p.at.Src, 1)
-			if p.stampNS != 0 {
-				// Sampled executor-queue-wait stall: park-to-seat time.
-				wait := time.Now().UnixNano() - p.stampNS
-				ex.w.eng.metrics.ExecQueueWaitNS.Add(wait)
-				ex.w.execQueueWaitNS.Add(wait)
-				ex.w.eng.obs.Tracer.RecordHop(p.at.Data.TraceID, obs.StallExecQueueWait,
-					ex.w.id, p.at.Src, 0, 0, 0, time.Unix(0, p.stampNS), time.Duration(wait))
-			}
-		}
-		select {
-		case <-ex.inbox.kick:
-		case <-ex.w.done:
-			return
-		}
+// put appends at to the inbox without waiting, and reports whether its unit
+// is owed: a remote tuple put behind queueCap untaken entries.
+func (ex *executor) put(at tuple.AddressedTuple) (owed bool) {
+	var stamp int64
+	if at.Data.TraceID != 0 {
+		stamp = time.Now().UnixNano()
 	}
+	owed = ex.untaken.Add(1) > ex.queueCap && at.Src != tuple.LocalSrc
+	ex.inbox.put(inboxEntry{at: at, owed: owed, stampNS: stamp})
+	return owed
 }
 
-// queueLen is the executor's queued-tuple depth: input queue plus inbox.
-func (ex *executor) queueLen() int { return len(ex.in) + ex.inbox.len() }
+// awaitRoom waits for fewer than queueCap untaken entries, or reports false
+// once the worker stops. A waiter passes take's ring on to the next one.
+func (ex *executor) awaitRoom() bool {
+	for ex.untaken.Load() >= ex.queueCap {
+		select {
+		case <-ex.room:
+		case <-ex.w.done:
+			return false
+		}
+	}
+	signal(ex.room)
+	return true
+}
+
+// take returns every entry put since the previous take, in put order, and
+// rings room. It grants the owed units, one grant per source worker, and
+// records each traced entry's put-to-take residency as an exec_queue_wait
+// stall. Consumer only; the caller calls inbox.done per entry. An empty
+// inbox costs an atomic load: the spout loop looks between every two emits.
+func (ex *executor) take() []inboxEntry {
+	if ex.untaken.Load() == 0 {
+		return nil
+	}
+	batch := ex.inbox.take()
+	if len(batch) == 0 {
+		return nil
+	}
+	ex.untaken.Add(-int64(len(batch)))
+	signal(ex.room)
+	var owed bool
+	var now int64
+	for i := range batch {
+		e := &batch[i]
+		if e.owed && uint(e.at.Src) < uint(len(ex.owedBy)) {
+			ex.owedBy[e.at.Src]++
+			owed = true
+		}
+		if e.stampNS != 0 {
+			if now == 0 {
+				now = time.Now().UnixNano()
+			}
+			wait := now - e.stampNS
+			ex.w.eng.metrics.ExecQueueWaitNS.Add(wait)
+			ex.w.execQueueWaitNS.Add(wait)
+			ex.w.eng.obs.Tracer.RecordHop(e.at.Data.TraceID, obs.StallExecQueueWait,
+				ex.w.id, e.at.Src, 0, 0, 0, time.Unix(0, e.stampNS), time.Duration(wait))
+		}
+	}
+	if owed {
+		for src, n := range ex.owedBy {
+			if n > 0 {
+				ex.w.grantData(int32(src), n)
+				ex.owedBy[src] = 0
+			}
+		}
+	}
+	return batch
+}
+
+// queueLen is the executor's queued-tuple depth: entries put and not yet
+// done, a taken batch included.
+func (ex *executor) queueLen() int { return ex.inbox.len() }
 
 // emit routes one tuple to all subscribers. It is the hot path: local
 // destinations are enqueued directly (Storm's local fast path, no
@@ -430,47 +468,52 @@ func (ex *executor) awaitOutstanding() {
 	if len(ex.pendingRoots) == 0 {
 		return
 	}
-	deadline := time.Now().Add(ex.w.eng.cfg.AckTimeout + 2*time.Second)
-	for len(ex.pendingRoots) > 0 && time.Now().Before(deadline) {
+	deadline := time.NewTimer(ex.w.eng.cfg.AckTimeout + 2*time.Second)
+	defer deadline.Stop()
+	for {
+		ex.drainSpoutEvents(false)
+		if len(ex.pendingRoots) == 0 {
+			return
+		}
 		select {
-		case at := <-ex.in:
-			ex.handleSpoutEvent(at.Data)
+		case <-ex.inbox.kick:
 		case <-ex.w.done:
 			return
-		case <-time.After(10 * time.Millisecond):
+		case <-deadline.C:
+			return
 		}
 	}
 }
 
-// runBolt is the bolt executor loop.
+// runBolt is the bolt executor loop: take whatever is queued, run it in
+// order, and wait for more only when a take comes back empty.
 func (ex *executor) runBolt() {
 	defer ex.w.wg.Done()
 	ex.bolt.Prepare(&ex.ctx)
 	defer ex.bolt.Cleanup()
 	for {
-		// The non-blocking receive first: a queued tuple costs no select on
-		// done (DESIGN §8, "Hand-offs").
-		select {
-		case at := <-ex.in:
-			ex.consume(at)
+		if ex.consumeBatch() > 0 {
 			continue
-		default:
 		}
 		select {
-		case at := <-ex.in:
-			ex.consume(at)
+		case <-ex.inbox.kick:
 		case <-ex.w.done:
 			// Drain remaining input before exiting.
-			for {
-				select {
-				case at := <-ex.in:
-					ex.consume(at)
-				default:
-					return
-				}
+			for ex.consumeBatch() > 0 {
 			}
+			return
 		}
 	}
+}
+
+// consumeBatch consumes one take in order and reports its size.
+func (ex *executor) consumeBatch() int {
+	batch := ex.take()
+	for i := range batch {
+		ex.consume(batch[i].at)
+		ex.inbox.done()
+	}
+	return len(batch)
 }
 
 // execute runs the bolt on one input. The clock is read only for a traced

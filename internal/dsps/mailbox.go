@@ -13,10 +13,8 @@ import (
 // doing); what bounds occupancy is stated where each mailbox is declared.
 //
 // Ordering rule: values are taken in put order, and a value counts as in
-// the mailbox — in len, and against idle — from its put until the consumer
-// calls done for it, i.e. also while it sits in a taken batch. A producer
-// that bypasses the mailbox when it is idle therefore cannot overtake a
-// value the consumer has taken but not yet passed on.
+// the mailbox — in len — from its put until the consumer calls done for
+// it, so Drain waits for a taken batch too.
 type mailbox[T any] struct {
 	mu  sync.Mutex
 	q   []T // put appends here
@@ -56,6 +54,3 @@ func (m *mailbox[T]) done() { m.pending.Add(-1) }
 
 // len counts the values put and not yet done.
 func (m *mailbox[T]) len() int { return int(m.pending.Load()) }
-
-// idle reports that nothing is queued and no taken value is outstanding.
-func (m *mailbox[T]) idle() bool { return m.pending.Load() == 0 }

@@ -35,41 +35,41 @@ func TestMailboxKeepsPutOrder(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	if !m.idle() || m.len() != 0 || len(m.take()) != 0 {
+	if m.len() != 0 || len(m.take()) != 0 {
 		t.Fatalf("mailbox not empty after the last value: len %d", m.len())
 	}
 }
 
-// TestMailboxCountsTakenBatch: a taken value stays in len, and keeps the
-// mailbox from reading idle, until the consumer calls done for it.
+// TestMailboxCountsTakenBatch: a taken value stays in len until the
+// consumer calls done for it.
 func TestMailboxCountsTakenBatch(t *testing.T) {
 	m := newMailbox[int]()
-	if !m.idle() {
-		t.Fatal("new mailbox is not idle")
+	if m.len() != 0 {
+		t.Fatal("new mailbox is not empty")
 	}
 	m.put(1)
 	m.put(2)
-	if m.len() != 2 || m.idle() {
-		t.Fatalf("after two puts: len %d, idle %v", m.len(), m.idle())
+	if m.len() != 2 {
+		t.Fatalf("after two puts: len %d", m.len())
 	}
 	batch := m.take()
 	if len(batch) != 2 || batch[0] != 1 || batch[1] != 2 {
 		t.Fatalf("batch %v", batch)
 	}
-	if m.len() != 2 || m.idle() {
-		t.Fatalf("taken batch not counted: len %d, idle %v", m.len(), m.idle())
+	if m.len() != 2 {
+		t.Fatalf("taken batch not counted: len %d", m.len())
 	}
 	m.put(3) // lands in the next batch, not the one being processed
 	m.done()
-	if m.len() != 2 || m.idle() {
-		t.Fatalf("one done of three: len %d, idle %v", m.len(), m.idle())
+	if m.len() != 2 {
+		t.Fatalf("one done of three: len %d", m.len())
 	}
 	m.done()
 	if next := m.take(); len(next) != 1 || next[0] != 3 {
 		t.Fatalf("next batch %v", next)
 	}
 	m.done()
-	if m.len() != 0 || !m.idle() {
-		t.Fatalf("all done: len %d, idle %v", m.len(), m.idle())
+	if m.len() != 0 {
+		t.Fatalf("all done: len %d", m.len())
 	}
 }

@@ -28,8 +28,8 @@ func TestExecuteTimesOneInSixteen(t *testing.T) {
 	}
 }
 
-// TestTracedTupleAlwaysTimed: with every root traced, each execution and
-// each encode records its span, while the metrics still hold the same
+// TestTracedTupleAlwaysTimed: with every root traced, each execution, each
+// inbox residency and each encode records its span, while the metrics still hold the same
 // one-in-SampleEvery sample they hold untraced.
 func TestTracedTupleAlwaysTimed(t *testing.T) {
 	const n = 64
@@ -39,6 +39,11 @@ func TestTracedTupleAlwaysTimed(t *testing.T) {
 	})
 	if got := scope.Tracer.StageHist(obs.StageExecute).Count(); got != 2*n {
 		t.Fatalf("execute spans = %d, want one per traced execution (%d)", got, 2*n)
+	}
+	// The inbox cap is far above n, so no tuple is ever owed: the
+	// residency span covers every put, not only an overflow.
+	if got := scope.Tracer.StageHist(obs.StallExecQueueWait).Count(); got != 2*n {
+		t.Fatalf("exec_queue_wait spans = %d, want one per traced sink put (%d)", got, 2*n)
 	}
 	enc := eng.Metrics().Serializations.Value()
 	if want := remoteSinks(eng) * n; enc != want || want == 0 {

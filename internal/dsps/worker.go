@@ -205,70 +205,36 @@ func (w *worker) grantData(src int32, n int64) {
 }
 
 // enqueueLocal delivers a tuple to a local executor (Storm's local fast
-// path — no serialization).
+// path — no serialization), waiting for room in a full inbox.
 func (w *worker) enqueueLocal(dst int32, tp *tuple.Tuple) {
 	ex, ok := w.execMap()[dst]
 	if !ok {
 		w.eng.metrics.RouteErrors.Inc()
 		return
 	}
-	at := tuple.AddressedTuple{TaskID: dst, Src: tuple.LocalSrc, Data: tp}
-	select {
-	case ex.in <- at:
-	default:
-		select {
-		case ex.in <- at:
-		case <-w.done:
-		}
+	if ex.untaken.Load() >= ex.queueCap && !ex.awaitRoom() {
+		return
 	}
+	ex.put(tuple.AddressedTuple{TaskID: dst, Src: tuple.LocalSrc, Data: tp})
 }
 
-// enqueueRemote delivers a remotely received tuple to a local executor. It
-// grants nothing itself: it reports parked when the tuple waits in the
-// executor's inbox, whose feeder grants the delivery unit once the tuple
-// wins a queue seat; otherwise — the tuple took the direct seat, or there
-// is no such executor — the caller owes the unit now, and grants it with
-// the rest of the message's units in one call.
+// enqueueRemote puts a remotely received tuple in a local executor's inbox
+// without blocking, so one slow executor starves only its own senders. It
+// grants nothing itself: it reports parked when the unit is owed (the
+// executor grants it on take); otherwise — there was room, or there is no
+// such executor — the caller grants the unit with the rest of the message's.
 //
 // Granting on admission — not on executor drain — matters on cyclic worker
 // graphs: an executor can block mid-Execute on its own credit-starved
 // downstream emit, and drain-time grants then let two mutually-loaded
 // workers starve each other into timeout-paced stalls.
-// A full input queue parks the tuple in the executor's inbox instead of
-// blocking: the delivery loop must keep moving so one slow executor only
-// starves its own senders (grants for its tuples stall at the feeder) while
-// siblings on the same worker keep receiving and granting.
-//
-// The direct seat is taken only when the inbox is idle — empty and with no
-// taken tuple the feeder has yet to seat — because everything this worker
-// receives for one executor must reach it in arrival order: barriers ride
-// the same links as data (DESIGN §13), and one that overtook an older
-// parked tuple would cut that tuple out of its epoch. The delivery
-// goroutine is the inbox's only producer, so idle cannot turn false
-// between the test and the seat.
 func (w *worker) enqueueRemote(from int32, dst int32, tp *tuple.Tuple) (parked bool) {
 	ex, ok := w.execMap()[dst]
 	if !ok {
 		w.eng.metrics.RouteErrors.Inc()
 		return false
 	}
-	at := tuple.AddressedTuple{TaskID: dst, Src: from, Data: tp}
-	if ex.inbox.idle() {
-		select {
-		case ex.in <- at:
-			return false
-		default:
-		}
-	}
-	// Parked: stamp traced tuples so the feeder can attribute the residency
-	// as an executor-queue-wait stall (sampled — untraced tuples carry a zero
-	// stamp and pay no clock read).
-	var stamp int64
-	if tp.TraceID != 0 {
-		stamp = time.Now().UnixNano()
-	}
-	ex.inbox.put(parkedTuple{at: at, stampNS: stamp})
-	return true
+	return ex.put(tuple.AddressedTuple{TaskID: dst, Src: from, Data: tp})
 }
 
 // enqueueSend pushes a job onto the transfer queue, blocking when the queue
@@ -692,8 +658,8 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		t0 = metrics.Clock(traced)
 		src := int32(from)
 		// The sender charged max(1, len(DstIDs)) units; every unit must be
-		// granted back — by the feeder for a parked tuple, in this
-		// message's one grant for the rest: seated tuples, and the ones
+		// granted back — by the executor's take for a parked tuple, in this
+		// message's one grant for the rest: admitted tuples, and the ones
 		// that can never be delivered (decode error, missing executor).
 		owed := int64(len(msg.DstIDs)) //whale:charged multi
 		if owed < 1 {
@@ -723,8 +689,8 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		src := int32(from)
 		locals := w.eng.groupLocalTasks(msg.Group, w.id)
 		// The sender charged multicastCost: the relay-acceptance unit plus
-		// one per local task. The feeder grants a parked tuple's unit; the
-		// rest go back in this message's one grant.
+		// one per local task. The executor's take grants a parked tuple's
+		// unit; the rest go back in this message's one grant.
 		owed := 1 + int64(len(locals)) //whale:charged multi
 		gs, ok := w.groups[msg.Group]
 		if !ok {

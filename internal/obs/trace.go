@@ -49,8 +49,8 @@ const (
 	// StallRingWait is time the transport spent blocked on a full RDMA
 	// ring memory region while flushing the batch carrying the tuple.
 	StallRingWait Stage = "ring_wait"
-	// StallExecQueueWait is time the tuple sat in an executor's admission
-	// overflow before winning a seat in the input queue.
+	// StallExecQueueWait is time the tuple sat in an executor's inbox:
+	// from its put until the executor took it.
 	StallExecQueueWait Stage = "exec_queue_wait"
 	// StallReplay is time lost to transient send failures: the backoff
 	// and retransmission delay before the tuple's message went through.
