@@ -87,7 +87,8 @@ perfgate:
 # parent_<i>.json or change_<i>.json and prints the table: per workload and
 # end-to-end metric, both medians with their quartiles, the change in the
 # median, and in how many pairs the change was better. The raw results
-# stay in .bench_build/pairs.
+# stay in .bench_build/pairs: each run's whole output, comment lines and
+# verification detail and stderr included, as <side>_<pair>_<workload>.txt.
 REF ?= HEAD
 N ?= 10
 WORKLOADS ?= fanout_whale fanout_storm ride_join stock_reliable
@@ -103,9 +104,10 @@ bench-pair:
 	    for side in $$order; do \
 	      dir=.; [ $$side = parent ] && dir=.bench_build/parent; \
 	      echo "bench-pair: pair $$i of $(N), $$w, $$side" >&2; \
+	      out=.bench_build/pairs/$${side}_$${i}_$$w.txt; \
 	      (cd $$dir && benchmark/run.sh --workload $$w --seed $$((100 + i)) --seconds 24 --trace 0) \
-	        >.bench_build/pairs/last_run.txt || true; \
-	      .bench_build/benchpair -merge .bench_build/pairs/$${side}_$$i.json -workload $$w .bench_build/pairs/last_run.txt || exit 1; \
+	        >$$out 2>&1 || true; \
+	      .bench_build/benchpair -merge .bench_build/pairs/$${side}_$$i.json -workload $$w $$out || exit 1; \
 	    done; \
 	  done; \
 	done

@@ -205,7 +205,7 @@ func TestAutoscaleIdleUsesLastServiceTime(t *testing.T) {
 // counts every execution — 1 600 executions in one second, 100 of them
 // timed at 1 ms each, read λ = 1 600/s and te = 1 ms.
 func TestAutoscaleObserveReadsSampledTe(t *testing.T) {
-	r := newMonitorRig(t, true)
+	r := newMonitorRig(t, rigAutoscale)
 	a := r.eng.scaler
 	var o opObservation
 	r.feed(call(func() {

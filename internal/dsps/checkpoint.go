@@ -553,19 +553,11 @@ func (c *checkpointCoordinator) beginRestore() {
 // in flight (repairs included).
 func (e *Engine) treesQuiet() bool {
 	for _, mgr := range e.managers {
-		if mgr.switchPending() {
+		if mgr.pendingVersion != 0 {
 			return false
 		}
 	}
 	return true
-}
-
-// switchPending reports whether a tree version is distributed but not yet
-// fully acked.
-func (m *mcManager) switchPending() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.pendingVersion != 0
 }
 
 // snapshotTask captures one task's state for epoch and acks the

@@ -386,7 +386,7 @@ type Engine struct {
 	spoutWG        sync.WaitGroup
 	stopping       chan struct{} // closed first in Stop: aborts backoffs and credit waits
 	stopTick       chan struct{}
-	auxWG          sync.WaitGroup // monitor loop, managers, heartbeats, tickers
+	auxWG          sync.WaitGroup // monitor loop, heartbeats, tickers
 	stopped        atomic.Bool    // set by the first Stop; later calls return at once
 }
 
@@ -516,7 +516,7 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 	}
 	eng.registerObs()
 
-	// Launch: bolts, send threads, managers, then spouts.
+	// Launch: bolts, send threads, the monitor loop and tickers, then spouts.
 	for _, w := range eng.workers {
 		for _, ex := range w.execMap() {
 			if ex.bolt != nil {
@@ -528,13 +528,6 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 		go w.sendLoop()
 		w.wg.Add(1)
 		go w.deliverLoop()
-	}
-	for _, mgr := range eng.managers {
-		if !mgr.adaptive {
-			continue // repair-only manager; no control loop
-		}
-		eng.auxWG.Add(1)
-		go mgr.run()
 	}
 	if eng.detector != nil {
 		for _, w := range eng.workers {
@@ -692,7 +685,6 @@ func (e *Engine) buildGroups() error {
 				members:     append([]int32(nil), members...),
 				nextVersion: 2,
 				curDstar:    dstar,
-				done:        make(chan struct{}),
 			}
 			if adaptive {
 				ctl := e.cfg.Control
@@ -912,17 +904,16 @@ func (e *Engine) TransportSnapshot() transport.Snapshot {
 // ActiveDstar reports the current out-degree cap of the first adaptive
 // multicast group, or 0 if none exists.
 func (e *Engine) ActiveDstar() int {
-	for _, desc := range e.groupDescs {
-		if mgr := e.managers[desc.id]; mgr.adaptive {
-			// curDstar, not ctrl.Dstar(): the controller belongs to the
-			// group's control loop and is not safe to read from here.
-			mgr.mu.Lock()
-			d := mgr.curDstar
-			mgr.mu.Unlock()
-			return d
+	d := 0
+	e.mon.read(func() {
+		for _, desc := range e.groupDescs {
+			if mgr := e.managers[desc.id]; mgr.adaptive {
+				d = mgr.curDstar
+				return
+			}
 		}
-	}
-	return 0
+	})
+	return d
 }
 
 // StopSpouts signals every spout loop to finish and waits for them.
@@ -984,12 +975,12 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 	return false
 }
 
-// Stop shuts the engine down: spouts first, then a bounded drain, then
-// bolts, managers, flow links and the network. Closing e.stopping first
-// bounds shutdown latency: send-retry backoffs and credit waits abort
-// instead of running out their schedules, so the drain flushes what it can
-// within DrainTimeout and a drain that still misses is reported rather
-// than silently ignored.
+// Stop shuts the engine down: spouts first, then a bounded drain, then the
+// monitor loop and tickers, bolts, flow links and the network. Closing
+// e.stopping first bounds shutdown latency: send-retry backoffs and credit
+// waits abort instead of running out their schedules, so the drain flushes
+// what it can within DrainTimeout and a drain that still misses is reported
+// rather than silently ignored.
 func (e *Engine) Stop() {
 	if !e.stopped.CompareAndSwap(false, true) {
 		return
@@ -1004,9 +995,6 @@ func (e *Engine) Stop() {
 		})
 	}
 	close(e.stopTick)
-	for _, mgr := range e.managers {
-		close(mgr.done)
-	}
 	e.auxWG.Wait()
 	for _, w := range e.workers {
 		close(w.done)
@@ -1083,72 +1071,50 @@ func (e *Engine) ackTicker() {
 	}
 }
 
-// mcManager runs the self-adjusting control loop for one multicast group
-// (paper §3.3-3.4): monitor the transfer queue and input rate, decide, and
-// distribute new tree versions, activating each only after every member
-// ACKs.
+// mcManager is one multicast group's §3.3-3.4 control plane: the d*
+// controller, the membership and the tree-version ledger. It distributes new
+// tree versions and activates each only after every member ACKs. All of its
+// mutable state belongs to the monitor loop (DESIGN §16); the data plane
+// reaches only adaptive and the two atomic monitors.
 type mcManager struct {
 	eng      *Engine
 	desc     *groupDesc
 	w        *worker
-	adaptive bool // §3.3 control loop enabled (ctrl is nil otherwise)
-	ctrl     *control.Controller
+	adaptive bool // §3.3 controller enabled (ctrl is nil otherwise)
 	sm       control.StreamMonitor
 	qm       control.QueueMonitor
 
-	// mu guards the mutable switch/membership state: the group's control
-	// loop, the monitor loop (repair, rescale) and the dispatch path (acks)
-	// all reach it.
-	mu             sync.Mutex //whale:lockrank 15
-	members        []int32    // live membership; starts as desc.members, shrinks on failure
+	// Loop-owned.
+	ctrl           *control.Controller
+	members        []int32 // live membership; starts as desc.members, shrinks on failure
 	pendingVersion int32
 	pendingAcks    map[int32]bool
 	switchStart    time.Time
 	nextVersion    int32
 	curDstar       int
 	pendingTree    *multicast.Tree
-
-	done chan struct{}
 }
 
-func (m *mcManager) run() {
-	defer m.eng.auxWG.Done()
-	ticker := time.NewTicker(m.eng.cfg.MonitorInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.done:
-			return
-		case <-ticker.C:
-			m.tick()
-		}
-	}
-}
-
-func (m *mcManager) tick() {
-	interval := m.eng.cfg.MonitorInterval.Seconds()
-	count := m.sm.Drain()
-	m.ctrl.ObserveRate(float64(count), interval)
+// tick is one controller round over the interval of sec seconds that ends
+// now: feed the rate and t_e measured over it, then decide — unless a
+// switch is still in flight, one at a time.
+func (m *mcManager) tick(sec float64) {
+	m.ctrl.ObserveRate(float64(m.sm.Drain()), sec)
 	if te, ok := m.qm.DrainTe(); ok {
 		m.ctrl.ObserveTe(te)
 	}
-	m.mu.Lock()
-	switching := m.pendingVersion != 0
-	m.mu.Unlock()
-	if switching {
-		return // one switch in flight at a time
+	if m.pendingVersion != 0 {
+		return
 	}
-	m.maybeSwitch(m.ctrl.Evaluate(len(m.w.transfer)), len(m.w.transfer))
+	queueLen := len(m.w.transfer)
+	m.maybeSwitch(m.ctrl.Evaluate(queueLen), queueLen)
 }
 
 // maybeSwitch acts on one controller decision: it applies the Theorem 5
 // guard, rebuilds the tree, and distributes the new version. Factored out of
 // tick so tests can drive decisions deterministically.
 func (m *mcManager) maybeSwitch(dec control.Decision, queueLen int) {
-	m.mu.Lock()
-	oldDstar := m.curDstar
-	members := append([]int32(nil), m.members...)
-	m.mu.Unlock()
+	oldDstar, members := m.curDstar, m.members
 	if dec.Action == control.Hold || dec.NewDstar == oldDstar {
 		return
 	}
@@ -1180,9 +1146,7 @@ func (m *mcManager) maybeSwitch(dec control.Decision, queueLen int) {
 	}
 	next := cur.Clone()
 	dir, moves := multicast.Switch(next, oldDstar, dec.NewDstar)
-	m.mu.Lock()
 	m.curDstar = dec.NewDstar
-	m.mu.Unlock()
 	if dir == multicast.NoSwitch || len(moves) == 0 {
 		return
 	}
@@ -1210,9 +1174,8 @@ func (m *mcManager) maybeSwitch(dec control.Decision, queueLen int) {
 // activates the version when the last ack arrives. With no member left to
 // coordinate with it activates locally. lead events are stamped with the
 // version and logged ahead of the tree-rebuild event. Distribution may
-// block on the transfer queue; m.mu is not held across it.
+// block on the transfer queue.
 func (m *mcManager) distribute(next *multicast.Tree, members []int32, direction byte, detail string, lead ...obs.Event) {
-	m.mu.Lock()
 	version := m.nextVersion
 	m.nextVersion++
 	m.pendingVersion, m.pendingTree, m.pendingAcks = 0, nil, nil
@@ -1225,10 +1188,7 @@ func (m *mcManager) distribute(next *multicast.Tree, members []int32, direction 
 		}
 		m.switchStart = time.Now()
 	}
-	dstar := m.curDstar
-	m.mu.Unlock()
-
-	for _, ev := range append(lead, obs.Event{Kind: obs.EventTreeRebuild, NewDstar: dstar, Detail: detail}) {
+	for _, ev := range append(lead, obs.Event{Kind: obs.EventTreeRebuild, NewDstar: m.curDstar, Detail: detail}) {
 		ev.Group, ev.Worker, ev.Version = m.desc.id, m.w.id, version
 		m.eng.obs.Events.Append(ev)
 	}
@@ -1247,8 +1207,6 @@ func (m *mcManager) distribute(next *multicast.Tree, members []int32, direction 
 // handleAck records one member's acknowledgement; when the last arrives the
 // new version activates at the source.
 func (m *mcManager) handleAck(version int32, node int32) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if version != m.pendingVersion {
 		return
 	}
@@ -1296,14 +1254,8 @@ func (m *mcManager) applyMembership(newLocal map[int32][]int32, newMembers []int
 		m.desc.lt.Store(&newLocal)
 	}
 
-	m.mu.Lock()
 	old := m.members
-	same := len(live) == len(old)
-	for i := 0; same && i < len(old); i++ {
-		same = live[i] == old[i]
-	}
-	if same {
-		m.mu.Unlock()
+	if slices.Equal(live, old) {
 		return
 	}
 	m.members = live
@@ -1311,7 +1263,6 @@ func (m *mcManager) applyMembership(newLocal map[int32][]int32, newMembers []int
 	// membership and a departing member would wedge it forever.
 	m.pendingVersion, m.pendingTree, m.pendingAcks = 0, nil, nil
 	dstar := m.curDstar
-	m.mu.Unlock()
 
 	cur, _, ok := m.w.groups[m.desc.id].Load().activeTree()
 	if !ok {

@@ -650,10 +650,11 @@ func TestStalledTaskKeepsSiblingTicks(t *testing.T) {
 }
 
 func TestReconfigurationEventOrdering(t *testing.T) {
-	// Drive the multicast manager's switch logic directly (the hour-long
-	// monitor interval keeps the ticker out of the way): a scale-down
-	// followed by a scale-up must land in the event log in order, with the
-	// d* transitions and tree versions the controller decided on.
+	// Drive the multicast manager's switch logic on the monitor loop, one
+	// decision per turn (the hour-long monitor interval keeps the controller
+	// round out of the way): a scale-down followed by a scale-up must land
+	// in the event log in order, with the d* transitions and tree versions
+	// the controller decided on.
 	scope := obs.NewScope(obs.Config{})
 	cap := newCapture()
 	b := NewTopologyBuilder()
@@ -695,10 +696,16 @@ func TestReconfigurationEventOrdering(t *testing.T) {
 		t.Fatalf("switch to version %d never completed", version)
 	}
 
-	mgr.maybeSwitch(control.Decision{Action: control.ScaleDown, NewDstar: 1,
+	decide := func(dec control.Decision, queueLen int) {
+		t.Helper()
+		if !eng.mon.ask(func() { mgr.maybeSwitch(dec, queueLen) }) {
+			t.Fatal("monitor loop exited")
+		}
+	}
+	decide(control.Decision{Action: control.ScaleDown, NewDstar: 1,
 		Lambda: 1e5, Te: 1e-6}, 900)
 	waitComplete(2)
-	mgr.maybeSwitch(control.Decision{Action: control.ScaleUp, NewDstar: 2,
+	decide(control.Decision{Action: control.ScaleUp, NewDstar: 2,
 		Lambda: 1e6, Te: 1e-6}, 0)
 	waitComplete(3)
 
@@ -752,9 +759,9 @@ func TestReconfigurationEventOrdering(t *testing.T) {
 }
 
 // TestActiveDstarConcurrentWithControlLoop reads the engine's d* gauge while
-// the group's control loop runs (under -race: the gauge must not reach into
-// the controller, which belongs to that loop). The test plays the loop
-// itself so that every round writes the controller: a scale-up the
+// controller rounds run on the monitor loop (under -race: the gauge must not
+// reach into the manager, which belongs to that loop). The test feeds the
+// rounds itself so that every round writes the controller: a scale-up the
 // Theorem 5 guard rejects forces d* back.
 func TestActiveDstarConcurrentWithControlLoop(t *testing.T) {
 	b := NewTopologyBuilder()
@@ -790,8 +797,10 @@ func TestActiveDstarConcurrentWithControlLoop(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 200; i++ {
-		mgr.tick()
-		mgr.maybeSwitch(control.Decision{Action: control.ScaleUp, NewDstar: 4, Lambda: 1, Te: 1e-6}, 0)
+		eng.mon.ask(func() {
+			eng.mon.handle(ctrlTick(time.Now()))
+			mgr.maybeSwitch(control.Decision{Action: control.ScaleUp, NewDstar: 4, Lambda: 1, Te: 1e-6}, 0)
+		})
 	}
 	close(stop)
 	wg.Wait()

@@ -220,13 +220,11 @@ func (e *Engine) WorkerOfTask(tid int32) int32 { return e.tv().assign.WorkerOf[t
 // the pruned tree — RemoveNode re-parents the orphaned subtree under
 // surviving nodes with spare out-degree — to the survivors as a new version.
 func (m *mcManager) handleWorkerFailure(dead int32) {
-	m.mu.Lock()
 	survivors := make([]int32, 0, len(m.members))
 	for _, w := range m.members {
 		if w != dead {
 			survivors = append(survivors, w)
 		}
 	}
-	m.mu.Unlock()
 	m.applyMembership(nil, survivors)
 }

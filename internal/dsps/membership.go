@@ -275,15 +275,12 @@ func (m *monitor) membership() MembershipReport {
 	}
 	for _, desc := range e.groupDescs { // ascending group id
 		gid, mgr := desc.id, e.managers[desc.id]
-		mgr.mu.Lock()
-		members := append([]int32(nil), mgr.members...)
-		pending := mgr.pendingVersion != 0
-		mgr.mu.Unlock()
 		active := e.workers[desc.key.worker].groups[gid].Load().active
 		rep.Groups = append(rep.Groups, GroupStatus{
 			Group: gid, Operator: desc.key.op, Stream: desc.key.stream,
 			SourceWorker: desc.key.worker, ActiveVersion: active,
-			Members: members, SwitchPending: pending,
+			Members:       append([]int32(nil), mgr.members...),
+			SwitchPending: mgr.pendingVersion != 0,
 		})
 	}
 	for _, op := range e.topo.Order {

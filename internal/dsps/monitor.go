@@ -11,19 +11,20 @@ import (
 // activated). Here that place is one goroutine on the monitor worker. It
 // owns — and is the only code that touches — the liveness state machine,
 // the epoch / restore / rescale-plan state of the checkpoint coordinator,
-// the pending-join and heartbeat-stop maps, and the autoscaler's hysteresis
-// and decision ring. None of that state carries a lock: every transition is
-// a handler run by this loop, so interleavings between "coordinators" do
-// not exist, only orderings of events.
+// every multicast group's d* controller, membership and tree-version
+// ledger, the pending-join and heartbeat-stop maps, and the autoscaler's
+// hysteresis and decision ring. None of that state carries a lock: every
+// transition is a handler run by this loop, so interleavings between
+// "coordinators" do not exist, only orderings of events.
 //
 // The data plane never waits on the loop. It reads atomics only (the dead
-// and joined flags, the placement view, the applied rescale plan) and posts
-// into an unbounded mailbox, so a dispatch or executor goroutine can never
-// wedge behind a loop that is itself blocked in enqueueSend distributing a
-// CtrlTree. The only waiters are callers of the public membership API and a
-// spout on its way out.
+// and joined flags, the placement view, the applied rescale plan, the tree
+// versions) and posts into an unbounded mailbox, so a dispatch or executor
+// goroutine can never wedge behind a loop that is itself blocked in
+// enqueueSend distributing a CtrlTree. The only waiters are callers of the
+// public API that reads or changes loop state and a spout on its way out.
 
-// Mailbox events — the loop's whole input alphabet besides its three
+// Mailbox events — the loop's whole input alphabet besides its four
 // periods, which arrive as the tick events below.
 type (
 	// snapAck is one task's snapshot or restore acknowledgement (CtrlSnapAck,
@@ -33,6 +34,9 @@ type (
 		task  int32
 		epoch int64
 	}
+	// treeAck is one member's CtrlAck of a tree version, as received by the
+	// group's source worker.
+	treeAck struct{ group, version, node int32 }
 	// ctrlJoin is a joiner's CtrlJoin as received by the monitor worker.
 	ctrlJoin struct{ node, attempt int32 }
 	// ctrlWelcome is the monitor's CtrlWelcome as received by the joiner.
@@ -44,8 +48,8 @@ type (
 		reply chan struct{}
 	}
 	// request runs fn on the loop on behalf of the public API (JoinWorker,
-	// LeaveWorker, Rescale, Membership, AutoscaleReport); reply is closed
-	// when fn has returned.
+	// LeaveWorker, Rescale, Membership, AutoscaleReport, ActiveDstar); reply
+	// is closed when fn has returned.
 	request struct {
 		fn    func()
 		reply chan struct{}
@@ -53,7 +57,8 @@ type (
 
 	sweepTick time.Time // HeartbeatInterval: advance the liveness machine
 	epochTick struct{}  // CheckpointInterval: advance the epoch machine
-	scaleTick int64     // Autoscale.Interval: one controller round (UnixNano)
+	scaleTick int64     // Autoscale.Interval: one autoscaler round (UnixNano)
+	ctrlTick  time.Time // MonitorInterval: one d* controller round
 )
 
 type monitor struct {
@@ -65,6 +70,8 @@ type monitor struct {
 	// Loop-owned membership state.
 	joining map[int32]chan struct{} // JoinWorker calls awaiting their CtrlWelcome
 	hbStops map[int32]chan struct{} // per-join heartbeat stop channels
+
+	lastCtrl time.Time // end of the previous d* controller round
 }
 
 func newMonitor(e *Engine) *monitor {
@@ -135,7 +142,7 @@ func (m *monitor) run() {
 	e := m.eng
 	defer e.auxWG.Done()
 	defer close(m.done)
-	var sweepC, epochC, scaleC <-chan time.Time
+	var sweepC, epochC, scaleC, ctrlC <-chan time.Time
 	if e.detector != nil {
 		t := time.NewTicker(e.cfg.HeartbeatInterval)
 		defer t.Stop()
@@ -150,6 +157,14 @@ func (m *monitor) run() {
 		t := time.NewTicker(e.cfg.Autoscale.Interval)
 		defer t.Stop()
 		scaleC = t.C
+	}
+	for _, mgr := range e.managers {
+		if mgr.adaptive {
+			t := time.NewTicker(e.cfg.MonitorInterval)
+			defer t.Stop()
+			ctrlC, m.lastCtrl = t.C, time.Now()
+			break
+		}
 	}
 	for {
 		select {
@@ -166,6 +181,8 @@ func (m *monitor) run() {
 			m.handle(epochTick{})
 		case now := <-scaleC:
 			m.handle(scaleTick(now.UnixNano()))
+		case now := <-ctrlC:
+			m.handle(ctrlTick(now))
 		}
 	}
 }
@@ -177,6 +194,8 @@ func (m *monitor) handle(ev any) {
 	switch ev := ev.(type) {
 	case snapAck:
 		e.ckpt.handleAck(ev.dir, ev.task, ev.epoch)
+	case treeAck:
+		e.managers[ev.group].handleAck(ev.version, ev.node)
 	case ctrlJoin:
 		m.onJoin(ev)
 	case ctrlWelcome:
@@ -193,5 +212,23 @@ func (m *monitor) handle(ev any) {
 		e.ckpt.tick()
 	case scaleTick:
 		e.scaler.tick(int64(ev))
+	case ctrlTick:
+		m.ctrlRound(time.Time(ev))
+	}
+}
+
+// ctrlRound steps every adaptive group's controller, in group-id order, over
+// the time since the previous round: a ticker drops ticks for a late
+// receiver, so the nominal MonitorInterval would over-read the rate.
+func (m *monitor) ctrlRound(now time.Time) {
+	sec := now.Sub(m.lastCtrl).Seconds()
+	if sec <= 0 {
+		return // a stale tick spans no time, and a rate needs some
+	}
+	m.lastCtrl = now
+	for _, desc := range m.eng.groupDescs {
+		if mgr := m.eng.managers[desc.id]; mgr.adaptive {
+			mgr.tick(sec)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package dsps
 
 import (
+	"math"
 	"sort"
 	"testing"
 	"time"
 
+	"whale/internal/control"
 	"whale/internal/metrics"
 	"whale/internal/obs"
 	"whale/internal/transport"
@@ -18,11 +20,19 @@ import (
 // its own before the fed acks have settled the matter (a real ack that
 // arrives later is a duplicate and is ignored). No sleeps, no polling.
 
-// parkedSpout blocks in Next until released, then reports exhaustion.
-type parkedSpout struct{ release <-chan struct{} }
+// parkedSpout signals parked and blocks in Next until released, then
+// reports exhaustion.
+type parkedSpout struct {
+	parked  chan<- struct{}
+	release <-chan struct{}
+}
 
 func (s *parkedSpout) Open(*TaskContext) {}
 func (s *parkedSpout) Next(*Collector) bool {
+	select {
+	case s.parked <- struct{}{}:
+	default:
+	}
 	<-s.release
 	return false
 }
@@ -37,12 +47,27 @@ type monitorRig struct {
 	c   *checkpointCoordinator
 }
 
-func newMonitorRig(t *testing.T, autoscale bool) *monitorRig {
+type rigKind int
+
+const (
+	rigPlain     rigKind = iota
+	rigAutoscale         // plus the autoscaler
+	// rigTree all-groups the sinks over an adaptive non-blocking tree:
+	// group 0, source worker 0, members 1 and 2, d* 2 (a star).
+	rigTree
+)
+
+func newMonitorRig(t *testing.T, kind rigKind) *monitorRig {
 	t.Helper()
-	release := make(chan struct{})
+	parked, release := make(chan struct{}, 1), make(chan struct{})
 	b := NewTopologyBuilder()
-	b.Spout("src", func() Spout { return &parkedSpout{release: release} }, 1)
-	b.Bolt("sink", func() Bolt { return forwardBolt{} }, 2).Shuffle("src")
+	b.Spout("src", func() Spout { return &parkedSpout{parked: parked, release: release} }, 1)
+	sink := b.Bolt("sink", func() Bolt { return forwardBolt{} }, 2)
+	if kind == rigTree {
+		sink.All("src")
+	} else {
+		sink.Shuffle("src")
+	}
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -53,8 +78,12 @@ func newMonitorRig(t *testing.T, autoscale bool) *monitorRig {
 		HeartbeatInterval:  time.Hour,
 		CheckpointInterval: time.Hour,
 	}
-	if autoscale {
+	switch kind {
+	case rigAutoscale:
 		cfg.Autoscale = AutoscaleConfig{Interval: time.Hour, Confirm: 1, Cooldown: time.Second}
+	case rigTree:
+		cfg.Comm, cfg.Multicast = WorkerOriented, MulticastNonBlocking
+		cfg.MonitorInterval = time.Hour
 	}
 	eng, err := Start(topo, cfg)
 	if err != nil {
@@ -64,6 +93,9 @@ func newMonitorRig(t *testing.T, autoscale bool) *monitorRig {
 		close(release)
 		eng.Stop()
 	})
+	// Until the source is inside Next it may still take its own inbox, which
+	// a fed spoutExit hands to the loop.
+	<-parked
 	return &monitorRig{t: t, eng: eng, m: eng.mon, c: eng.ckpt}
 }
 
@@ -122,7 +154,7 @@ func (r *monitorRig) join(id int32) []any {
 func (r *monitorRig) sinkPar() int { return len(r.eng.tv().assign.TasksOf["sink"]) }
 
 func TestMonitorLeaveThenPlanApply(t *testing.T) {
-	r := newMonitorRig(t, false)
+	r := newMonitorRig(t, rigPlain)
 	var rescaleErr, leaveArmed, leaveApplied error
 	steps := append(r.join(3),
 		call(func() { rescaleErr = r.m.rescale("sink", 3, []int32{3}) }),
@@ -166,7 +198,7 @@ func TestMonitorLeaveThenPlanApply(t *testing.T) {
 }
 
 func TestMonitorPlanArmThenWorkerDeath(t *testing.T) {
-	r := newMonitorRig(t, false)
+	r := newMonitorRig(t, rigPlain)
 	var rescaleErr, retryErr error
 	r.feed(
 		call(func() { rescaleErr = r.m.rescale("sink", 1, nil) }),
@@ -200,7 +232,7 @@ func TestMonitorPlanArmThenWorkerDeath(t *testing.T) {
 }
 
 func TestMonitorStaleJoinAfterLeave(t *testing.T) {
-	r := newMonitorRig(t, false)
+	r := newMonitorRig(t, rigPlain)
 	var leaveErr error
 	steps := append(r.join(3),
 		ctrlWelcome{node: 3}, // duplicate welcome: no-op
@@ -231,7 +263,7 @@ func TestMonitorStaleJoinAfterLeave(t *testing.T) {
 }
 
 func TestMonitorSnapAckForAbortedEpoch(t *testing.T) {
-	r := newMonitorRig(t, false)
+	r := newMonitorRig(t, rigPlain)
 	r.feed(
 		epochTick{}, // epoch 1
 		snapAck{dir: tuple.SnapAckSnapshot, task: 0, epoch: 1},
@@ -256,7 +288,7 @@ func TestMonitorSnapAckForAbortedEpoch(t *testing.T) {
 }
 
 func TestMonitorSpoutExitMidRestore(t *testing.T) {
-	r := newMonitorRig(t, false)
+	r := newMonitorRig(t, rigPlain)
 	src := r.eng.workers[0].execMap()[0]
 	exit := spoutExit{ex: src, reply: make(chan struct{})}
 	var wave int
@@ -296,7 +328,7 @@ func TestMonitorSpoutExitMidRestore(t *testing.T) {
 // itself — an abort escalates the operator's backoff, a commit clears it,
 // and a plan it did not issue is none of its business.
 func TestMonitorAutoscalerToldPlanFate(t *testing.T) {
-	r := newMonitorRig(t, true)
+	r := newMonitorRig(t, rigAutoscale)
 	a := r.eng.scaler
 	// overload makes the next controller round see rho = 2 on sink: 4000
 	// tuples at 1 ms each over a one-second window, two instances — one
@@ -362,5 +394,140 @@ func TestMonitorAutoscalerToldPlanFate(t *testing.T) {
 	}
 	if rep := r.eng.AutoscaleReport(); a.aborts.Value() != 1 || len(rep.Decisions) != 2 {
 		t.Fatalf("aborts=%d decisions=%d, want 1 and 2", a.aborts.Value(), len(rep.Decisions))
+	}
+}
+
+// active is the tree version the rig's group has active at its source.
+func (r *monitorRig) active() int32 { return r.eng.workers[0].groups[0].Load().active }
+
+// ctrlStart is when the loop armed its controller rounds: the rig's rounds
+// are timed from it, since an earlier tick would span no time and be skipped.
+func (r *monitorRig) ctrlStart() time.Time {
+	var t0 time.Time
+	r.feed(call(func() { t0 = r.m.lastCtrl }))
+	return t0
+}
+
+// scaleDown is the step "the controller decided d* 1": the switch to the
+// chain goes out to both members as version 2.
+func (r *monitorRig) scaleDown() request {
+	return call(func() {
+		mgr := r.eng.managers[0]
+		mgr.ctrl.ForceDstar(1)
+		mgr.maybeSwitch(control.Decision{Action: control.ScaleDown, NewDstar: 1, Lambda: 1, Te: 1e-6}, 0)
+	})
+}
+
+// switchesCompleted lists the versions of the rig's switch-complete events.
+func (r *monitorRig) switchesCompleted() []int32 {
+	var vs []int32
+	for _, ev := range r.eng.obs.Events.Recent(0) {
+		if ev.Kind == obs.EventSwitchComplete {
+			vs = append(vs, ev.Version)
+		}
+	}
+	return vs
+}
+
+func TestMonitorRepairSupersedesSwitch(t *testing.T) {
+	r := newMonitorRig(t, rigTree)
+	mgr := r.eng.managers[0]
+	var pending, active int32
+	r.feed(
+		r.scaleDown(),
+		treeAck{group: 0, version: 2, node: 1},
+		call(func() { r.eng.onWorkerDead(2) }), // the repair: version 3 to worker 1 alone
+		// Late acks for the cancelled version, the dead member's among them.
+		treeAck{group: 0, version: 2, node: 2},
+		treeAck{group: 0, version: 2, node: 1},
+		call(func() { pending, active = mgr.pendingVersion, r.active() }),
+		treeAck{group: 0, version: 3, node: 1},
+	)
+	if pending != 3 || active != 1 {
+		t.Fatalf("after the late acks: pending version %d, active %d; want 3 and 1", pending, active)
+	}
+	if active := r.active(); active != 3 {
+		t.Fatalf("active version %d after the survivor's ack, want 3", active)
+	}
+	if vs := r.switchesCompleted(); len(vs) != 1 || vs[0] != 3 {
+		t.Fatalf("switch-complete versions %v, want [3]", vs)
+	}
+	r.feed(call(func() {
+		if mgr.pendingVersion != 0 || len(mgr.members) != 1 || mgr.members[0] != 1 {
+			t.Errorf("pending version %d, members %v after the repair; want 0 and [1]", mgr.pendingVersion, mgr.members)
+		}
+	}))
+}
+
+func TestMonitorCtrlTickDuringSwitch(t *testing.T) {
+	r := newMonitorRig(t, rigTree)
+	mgr := r.eng.managers[0]
+	// load gives a round a rate and a t_e under which d* 2 pays off, so a
+	// round that evaluated would scale back up from 1.
+	load := func() request {
+		return call(func() {
+			mgr.sm.Record(1000)
+			mgr.qm.RecordEmit(1000)
+		})
+	}
+	t0 := r.ctrlStart()
+	r.feed(
+		ctrlTick(t0.Add(10*time.Millisecond)), // the controller's first round: it only notes the queue
+		r.scaleDown(),
+		load(), ctrlTick(t0.Add(20*time.Millisecond)),
+		load(), ctrlTick(t0.Add(30*time.Millisecond)),
+	)
+	r.feed(call(func() {
+		if mgr.pendingVersion != 2 || mgr.nextVersion != 3 || mgr.curDstar != 1 || mgr.ctrl.Dstar() != 1 {
+			t.Errorf("pending %d, next %d, d* %d, controller d* %d; want 2, 3, 1, 1",
+				mgr.pendingVersion, mgr.nextVersion, mgr.curDstar, mgr.ctrl.Dstar())
+		}
+	}))
+	if n := countEvents(r.eng, obs.EventScaleUp) + countEvents(r.eng, obs.EventSwitchSkipped); n != 0 {
+		t.Fatalf("%d decisions while a switch was in flight, want none", n)
+	}
+}
+
+func TestMonitorRestoreWaitsForTreeAcks(t *testing.T) {
+	r := newMonitorRig(t, rigTree)
+	var restoring, recoverPending bool
+	var wave int
+	r.feed(
+		epochTick{}, r.ackAll(), // epoch 1 commits: something to restore from
+		call(func() { r.eng.onWorkerDead(2) }), // the repair: version 2 to worker 1
+		epochTick{},                            // the trees are not quiet: no wave
+		call(func() { restoring, recoverPending = r.c.restoring, r.c.recoverPending }),
+		treeAck{group: 0, version: 2, node: 1},
+		epochTick{}, // wave 1
+		call(func() { wave = r.c.restoreWave }),
+	)
+	if restoring || !recoverPending {
+		t.Fatalf("before the tree ack: restoring=%v recoverPending=%v, want false/true", restoring, recoverPending)
+	}
+	if wave != 1 {
+		t.Fatalf("restore wave %d after the tree ack, want 1", wave)
+	}
+}
+
+// TestMonitorCtrlTickMeasuredRate: a round divides its count by the time
+// since the previous round, not by the nominal (here hour-long)
+// MonitorInterval.
+func TestMonitorCtrlTickMeasuredRate(t *testing.T) {
+	r := newMonitorRig(t, rigTree)
+	mgr := r.eng.managers[0]
+	const n = 600
+	t0 := r.ctrlStart()
+	var lambda float64
+	r.feed(
+		ctrlTick(t0.Add(10*time.Millisecond)), // nothing recorded yet: λ opens at 0
+		call(func() { mgr.sm.Record(n) }),
+		ctrlTick(t0.Add(40*time.Millisecond)),
+		call(func() { lambda = mgr.ctrl.Lambda() }),
+	)
+	want := control.NewController(r.eng.cfg.Control, 1)
+	want.ObserveRate(0, 1)
+	want.ObserveRate(n, 0.03)
+	if math.Abs(lambda-want.Lambda()) > 1e-9*want.Lambda() {
+		t.Fatalf("λ = %g after %d tuples in 30 ms, want %g (the rate %g smoothed)", lambda, n, want.Lambda(), n/0.03)
 	}
 }

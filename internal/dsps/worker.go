@@ -770,16 +770,16 @@ func (w *worker) handleControl(from transport.WorkerID, cm *tuple.ControlMessage
 		// ACK back to the source worker.
 		w.sendControl(&tuple.ControlMessage{Type: tuple.CtrlAck, Group: cm.Group, Version: cm.Version, Node: w.id}, int32(from))
 
-	case tuple.CtrlAck:
-		if mgr := w.eng.managers[cm.Group]; mgr != nil {
-			mgr.handleAck(cm.Version, cm.Node)
-		}
-
 	case tuple.CtrlCredit:
 		w.fc.onGrant(int32(from), cm.Credits)
 
-	// The three frames below are events for the monitor loop: posting
+	// The four frames below are events for the monitor loop: posting
 	// never blocks this dispatch goroutine, whatever the loop is doing.
+	case tuple.CtrlAck:
+		if w.eng.managers[cm.Group] != nil {
+			w.eng.mon.post(treeAck{group: cm.Group, version: cm.Version, node: cm.Node})
+		}
+
 	case tuple.CtrlSnapAck:
 		if w.eng.ckpt != nil {
 			w.eng.mon.post(snapAck{dir: cm.Direction, task: cm.Node, epoch: cm.Epoch})
