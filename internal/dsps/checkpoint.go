@@ -885,9 +885,8 @@ func (ex *executor) onRestore(tp *tuple.Tuple) {
 
 // ackCheckpoint reports snapshot/restore completion to the coordinator —
 // into the monitor's mailbox when it is local, as a CtrlSnapAck control
-// frame otherwise
-// (control stays inline at the receiver, so acks cannot deadlock behind
-// the data they describe).
+// frame otherwise, which skips the transfer queue here and is handled inline
+// at the receiver: an ack cannot deadlock behind the data it describes.
 func (ex *executor) ackCheckpoint(direction byte, epoch int64) {
 	cc := ex.w.eng.ckpt
 	if cc == nil {

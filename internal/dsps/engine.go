@@ -386,7 +386,7 @@ type Engine struct {
 	spoutWG        sync.WaitGroup
 	stopping       chan struct{} // closed first in Stop: aborts backoffs and credit waits
 	stopTick       chan struct{}
-	auxWG          sync.WaitGroup // monitor loop, heartbeats, tickers
+	auxWG          sync.WaitGroup // monitor loop, heartbeats
 	stopped        atomic.Bool    // set by the first Stop; later calls return at once
 }
 
@@ -516,7 +516,7 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 	}
 	eng.registerObs()
 
-	// Launch: bolts, send threads, the monitor loop and tickers, then spouts.
+	// Launch: bolts, send threads, the monitor loop, then spouts.
 	for _, w := range eng.workers {
 		for _, ex := range w.execMap() {
 			if ex.bolt != nil {
@@ -539,18 +539,6 @@ func Start(topo *Topology, cfg Config) (*Engine, error) {
 	}
 	eng.auxWG.Add(1)
 	go eng.mon.run()
-	if cfg.AckEnabled {
-		eng.auxWG.Add(1)
-		go eng.ackTicker()
-	}
-	eng.auxWG.Add(1)
-	go eng.creditTicker()
-	for _, id := range topo.Order {
-		if iv := topo.Operators[id].TickInterval; iv > 0 && !topo.Operators[id].IsSpout {
-			eng.auxWG.Add(1)
-			go eng.userTicker(id, iv)
-		}
-	}
 	for _, w := range eng.workers {
 		for _, ex := range w.execMap() {
 			if ex.spout != nil {
@@ -976,7 +964,7 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 }
 
 // Stop shuts the engine down: spouts first, then a bounded drain, then the
-// monitor loop and tickers, bolts, flow links and the network. Closing
+// monitor loop and heartbeats, bolts, flow links and the network. Closing
 // e.stopping first bounds shutdown latency: send-retry backoffs and credit
 // waits abort instead of running out their schedules, so the drain flushes
 // what it can within DrainTimeout and a drain that still misses is reported
@@ -1017,56 +1005,15 @@ func (e *Engine) Stop() {
 // BoltDeclarer.TickEvery). Bolts receive them in Execute like any input.
 const StreamTick = "__tick"
 
-// userTicker delivers tick tuples to one operator's executors at its
-// configured period until the engine stops, never waiting on a stalled one.
-func (e *Engine) userTicker(op string, interval time.Duration) {
-	defer e.auxWG.Done()
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stopTick:
-			return
-		case <-ticker.C:
-			now := time.Now().UnixNano()
-			tv := e.tv()
-			for _, tid := range tv.assign.TasksOf[op] {
-				w := e.workers[tv.assign.WorkerOf[tid]]
-				ex, ok := w.execMap()[tid]
-				if !ok {
-					continue
-				}
-				ex.put(tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc,
-					Data: &tuple.Tuple{Stream: StreamTick, RootEmitNS: now}})
-			}
-		}
-	}
-}
-
-// ackTicker periodically injects timeout-sweep ticks into every acker task.
-func (e *Engine) ackTicker() {
-	defer e.auxWG.Done()
-	interval := e.cfg.AckTimeout / 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stopTick:
-			return
-		case <-ticker.C:
-			tv := e.tv()
-			for _, tid := range tv.assign.TasksOf[ackerOperatorID] {
-				w := e.workers[tv.assign.WorkerOf[tid]]
-				ex, ok := w.execMap()[tid]
-				if !ok {
-					continue
-				}
-				ex.put(tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc,
-					Data: &tuple.Tuple{Stream: streamAckTick}})
-			}
+// putTicks puts one engine-generated tuple on stream into every task of op,
+// never waiting on a stalled one. The monitor loop calls it on an
+// operator's tick period and on the acker sweep.
+func (e *Engine) putTicks(op, stream string, emitNS int64) {
+	tv := e.tv()
+	for _, tid := range tv.assign.TasksOf[op] {
+		if ex, ok := e.workers[tv.assign.WorkerOf[tid]].execMap()[tid]; ok {
+			ex.put(tuple.AddressedTuple{TaskID: tid, Src: tuple.LocalSrc,
+				Data: &tuple.Tuple{Stream: stream, RootEmitNS: emitNS}})
 		}
 	}
 }
@@ -1173,8 +1120,8 @@ func (m *mcManager) maybeSwitch(dec control.Decision, queueLen int) {
 // structure of the multicast tree" — goes to every member; handleAck
 // activates the version when the last ack arrives. With no member left to
 // coordinate with it activates locally. lead events are stamped with the
-// version and logged ahead of the tree-rebuild event. Distribution may
-// block on the transfer queue.
+// version and logged ahead of the tree-rebuild event. The CtrlTree goes
+// straight to the transport, never through the transfer queue.
 func (m *mcManager) distribute(next *multicast.Tree, members []int32, direction byte, detail string, lead ...obs.Event) {
 	version := m.nextVersion
 	m.nextVersion++

@@ -2,6 +2,7 @@ package dsps
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -32,6 +33,17 @@ func (s *countSpout) Next(c *Collector) bool {
 	return true
 }
 func (s *countSpout) Close() {}
+
+// eventually waits until cond holds, failing the test after ten seconds. It
+// yields between checks instead of sleeping.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: not within 10s", what)
+		}
+	}
+}
 
 // capture records every tuple each task receives.
 type capture struct {
@@ -595,12 +607,12 @@ func TestTickTuples(t *testing.T) {
 		t.Fatal("drain failed")
 	}
 	completedBefore := eng.Metrics().TuplesCompleted.Value()
-	time.Sleep(150 * time.Millisecond) // several tick periods with no data
+	// Several tick periods with no data: 3 periods x 2 instances.
+	eventually(t, "6 ticks", func() bool { return ticks.Value() >= 6 })
 	eng.Stop()
 	if data.Value() != 10 {
 		t.Fatalf("data tuples %d", data.Value())
 	}
-	// ~7 periods x 2 instances; allow slack for scheduling.
 	if ticks.Value() < 6 {
 		t.Fatalf("only %d ticks delivered", ticks.Value())
 	}

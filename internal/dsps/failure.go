@@ -126,8 +126,9 @@ func (fd *failureDetector) sweep(now time.Time) {
 
 // heartbeatLoop beacons one worker's liveness to the monitor. Heartbeats
 // are fire-and-forget and bypass the transfer queue: a blocked send thread
-// must not look like a dead worker. stop is the per-join stop channel — a
-// graceful leave closes it without touching engine shutdown.
+// must not look like a dead worker; nor are they a monitor-loop period:
+// liveness must not share fate with the loop that judges it. stop is the
+// per-join stop channel — a graceful leave closes it, not engine shutdown.
 func (e *Engine) heartbeatLoop(w *worker, stop chan struct{}) {
 	defer e.auxWG.Done()
 	ticker := time.NewTicker(e.cfg.HeartbeatInterval)

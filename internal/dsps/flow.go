@@ -135,7 +135,7 @@ type inboundCredit struct {
 	mu          sync.Mutex //whale:lockrank 40
 	drained     int64      // cumulative units drained; the value grants carry
 	sinceGrant  int64      // units accumulated since the last grant was sent
-	rebroadcast int64      // cumulative value carried by the last ticker rebroadcast
+	rebroadcast int64      // cumulative value carried by the last rebroadcast
 }
 
 // flowLink is the sender side of one directed link: a bounded FIFO drained
@@ -638,7 +638,7 @@ func (fc *flowControl) sendGrant(to int32, cumulative int64) {
 }
 
 // rebroadcast resends every non-zero cumulative drained counter. Called on
-// the engine's credit ticker; because grants are cumulative this is
+// the monitor loop's creditTick; because grants are cumulative this is
 // idempotent and heals any grant lost in transit.
 func (fc *flowControl) rebroadcast() {
 	for src := range fc.in {
@@ -773,24 +773,6 @@ func (e *Engine) LinkStats() []LinkStat {
 		}
 	}
 	return out
-}
-
-// creditTicker periodically rebroadcasts cumulative grants from every
-// worker, healing grants lost to faults.
-func (e *Engine) creditTicker() {
-	defer e.auxWG.Done()
-	ticker := time.NewTicker(creditRefreshInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-e.stopTick:
-			return
-		case <-ticker.C:
-			for _, w := range e.workers {
-				w.fc.rebroadcast()
-			}
-		}
-	}
 }
 
 // reportDegraded surfaces a subscriber paused past the degraded threshold:

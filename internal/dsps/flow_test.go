@@ -555,3 +555,111 @@ func TestFlowLinkBatchStopsAtWindow(t *testing.T) {
 		t.Fatalf("a push/popBatch cycle allocates %.1f, want 0", allocs)
 	}
 }
+
+// prepareGatedBolt blocks in Prepare until gate closes, so its executor
+// takes nothing: past the inbox cap every remote tuple's unit stays owed.
+type prepareGatedBolt struct{ gate <-chan struct{} }
+
+func (b prepareGatedBolt) Prepare(*TaskContext)           { <-b.gate }
+func (prepareGatedBolt) Execute(*tuple.Tuple, *Collector) {}
+func (prepareGatedBolt) Cleanup()                         {}
+
+// burstSpout emits n tuples, then parks in Next until release closes.
+type burstSpout struct {
+	n       int
+	release <-chan struct{}
+}
+
+func (s *burstSpout) Open(*TaskContext) {}
+func (s *burstSpout) Next(c *Collector) bool {
+	if s.n == 0 {
+		<-s.release
+		return false
+	}
+	s.n--
+	c.Emit(int64(s.n))
+	return true
+}
+func (s *burstSpout) Close() {}
+
+// TestControlNeverWaitsBehindData: a tree member whose send thread is parked
+// behind a credit-starved link still installs and acks a CtrlTree, and
+// still applies the CtrlCredit queued behind it on its one inbound handler.
+// A handler that queued its CtrlAck on the full transfer queue would block
+// there, with the grant that reopens the link stuck behind it, until Stop.
+func TestControlNeverWaitsBehindData(t *testing.T) {
+	gate, release := make(chan struct{}), make(chan struct{})
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return &countSpout{} }, 1)                           // task 0, worker 0: the tree's source
+	b.Spout("flood", func() Spout { return &burstSpout{n: 6, release: release} }, 1)   // task 1, worker 1: the member
+	b.Bolt("gated", func() Bolt { return prepareGatedBolt{gate} }, 1).Shuffle("flood") // task 2, worker 2
+	b.Bolt("mem", func() Bolt { return forwardBolt{} }, 2).All("src")                  // tasks 3, 4 on workers 0, 1
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Start(topo, Config{
+		Workers: 3, Network: transport.NewInprocNetwork(0),
+		Comm: WorkerOriented, Multicast: MulticastNonBlocking, MonitorInterval: time.Hour,
+		TransferQueueCap: 1, LinkQueueCap: 1, CreditWindow: 1, CreditTimeout: time.Hour,
+		ExecutorQueueCap: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(gate)
+		close(release)
+		eng.Stop()
+	})
+	link := func() LinkStat {
+		for _, st := range eng.LinkStats() {
+			if st.From == 1 && st.To == 2 {
+				return st
+			}
+		}
+		return LinkStat{}
+	}
+	// Worker 2 granted the first unit on admission and owes the second, so
+	// the link holds one unit in flight. Of the six tuples, the third waits
+	// for credit in the link's batch and the fourth fills its queue (both
+	// count as Queued), the fifth is in the send thread's hands, its push
+	// blocked, and the sixth fills the transfer queue.
+	eventually(t, "the member's send thread parked", func() bool {
+		st := link()
+		return st.Sent == 2 && st.Queued == 2 && len(eng.workers[1].transfer) == 1
+	})
+
+	var mgr *mcManager
+	for _, m := range eng.managers {
+		mgr = m
+	}
+	var version int32
+	ok := eng.mon.ask(func() {
+		cur, _, _ := mgr.w.groups[mgr.desc.id].Load().activeTree()
+		version = mgr.nextVersion
+		mgr.distribute(cur.Clone(), mgr.members, tuple.SwitchScaleUp, "re-sent tree")
+	})
+	if !ok {
+		t.Fatal("monitor loop exited")
+	}
+	member := eng.workers[1].groups[mgr.desc.id]
+	eventually(t, "the member installed the tree", func() bool {
+		_, ok := member.Load().versions[version]
+		return ok
+	})
+	// The grant arrives behind the CtrlTree on the member's inbound handler.
+	enc := tuple.NewEncoder()
+	grant := tuple.ControlMessage{Type: tuple.CtrlCredit, Node: 2, Credits: 2}
+	if err := eng.workers[2].tr.Send(1, enc.EncodeControlEnvelope(&grant)); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "the grant applied", func() bool {
+		st := link()
+		return st.Sent-st.Outstanding >= 2
+	})
+	source := mgr.w.groups[mgr.desc.id]
+	eventually(t, "the source recorded the member's ack", func() bool {
+		return source.Load().active == version
+	})
+}

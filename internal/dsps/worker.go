@@ -29,11 +29,10 @@ const (
 	jobMulticast
 	// jobRelay forwards pre-encoded multicast bytes to child workers.
 	jobRelay
-	// jobControl ships a pre-encoded control message to one worker.
-	jobControl
 )
 
-// sendJob is one unit of work on a worker's transfer queue.
+// sendJob is one unit of work on a worker's transfer queue, which carries
+// data only: its length is the paper's data queue Q.
 type sendJob struct {
 	kind          jobKind
 	tp            *tuple.Tuple
@@ -250,16 +249,17 @@ func (w *worker) enqueueSend(j sendJob) {
 	}
 }
 
-// sendControl encodes one control frame and queues it on the transfer queue
-// toward each listed worker, behind whatever this worker already has to
-// send.
+// sendControl encodes one control frame and sends it to each listed worker
+// with the retrying send, never through the transfer queue: a control
+// frame does not wait behind data, and the caller waits at most for the
+// peers' transport handlers, which never wait on anything.
 func (w *worker) sendControl(cm *tuple.ControlMessage, to ...int32) {
 	raw := tuple.AppendWorkerMessage(nil, &tuple.WorkerMessage{
 		Kind:    tuple.KindControl,
 		Payload: tuple.AppendControlMessage(nil, cm),
 	})
 	for _, dst := range to {
-		w.enqueueSend(sendJob{kind: jobControl, dstWorker: dst, raw: raw})
+		w.send(dst, raw)
 	}
 }
 
@@ -463,9 +463,6 @@ func (w *worker) process(j sendJob) {
 		for _, dw := range j.dstWorkers {
 			w.sendData(dw, j.raw, nil, w.multicastCost(j.group, dw), int64(len(w.eng.groupLocalTasks(j.group, dw))), j.tracked)
 		}
-
-	case jobControl:
-		w.send(j.dstWorker, j.raw)
 	}
 }
 
@@ -585,9 +582,9 @@ func (w *worker) recordTe(mgr *mcManager, t0 time.Time) {
 // whole worker: the delivery path can block on a full transfer queue whose
 // send thread is itself blocked on a credit-starved link, and the grant
 // that would reopen that link then sits unprocessed behind the data in
-// front of it — a distributed cycle broken only by the credit timeout.
-// Handling control inline makes grant processing independent of data-path
-// progress.
+// front of it — a distributed cycle broken only by the credit timeout. So
+// the handler only stages, grants and posts; it never sends, and a frame
+// that needs an answer is answered by the monitor loop.
 func (w *worker) dispatch(from transport.WorkerID, payload []byte) {
 	// Any inbound message is liveness evidence; explicit heartbeats only
 	// matter on otherwise-idle links.
@@ -767,8 +764,8 @@ func (w *worker) handleControl(from transport.WorkerID, cm *tuple.ControlMessage
 			return
 		}
 		gs.install(cm.Version, tr)
-		// ACK back to the source worker.
-		w.sendControl(&tuple.ControlMessage{Type: tuple.CtrlAck, Group: cm.Group, Version: cm.Version, Node: w.id}, int32(from))
+		// The loop acks to the source worker, after the install.
+		w.eng.mon.post(treeInstalled{group: cm.Group, version: cm.Version, member: w.id, source: int32(from)})
 
 	case tuple.CtrlCredit:
 		w.fc.onGrant(int32(from), cm.Credits)
