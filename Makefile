@@ -14,7 +14,7 @@ RANK_RE = //whale:lockrank
 GO_RE = ^[[:space:]]*go[[:space:]]
 CLOCK_RE = time\.(NewTicker|NewTimer|AfterFunc|After|Sleep|Tick)\(
 
-.PHONY: check vet whalevet vet-baseline loc-gate values-gate build test race chaos fmt bench bench-pair perfgate cover cover-gate loc
+.PHONY: check vet whalevet vet-baseline loc-gate values-gate build test race chaos fmt bench bench-pair cover cover-gate loc
 
 check: vet whalevet vet-baseline loc-gate values-gate build test race chaos
 
@@ -62,21 +62,6 @@ fmt:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Benchmark-regression gate: re-measure the curated microbenchmarks
-# (including the engine_pipeline_ckpt_off/1s checkpoint-overhead rows) and
-# quick-mode DES experiments, compare against the committed BENCH_9.json
-# baseline, and fail on regressions beyond the thresholds (10% micro, 25%
-# DES). Refresh the baseline after an intentional perf change with:
-#   $(GO) run ./cmd/whaleperf -quick -out BENCH_9.json
-# On hosts whose throughput swings between runs (shared/virtualized CPUs),
-# fold the worst observed median per row from a few extra gate runs into the
-# baseline (max ns/op, min tuples/sec, max dispersion) so the gate anchors at
-# the slow mode; real regressions still trip the 10-20% headroom above it.
-# Set PERFGATE_SUMMARY=<file> to also append the before/after comparison as
-# a markdown table (the bench-gate job points it at $GITHUB_STEP_SUMMARY).
-perfgate:
-	$(GO) run ./cmd/whaleperf -quick -runs 5 -baseline BENCH_9.json -out BENCH_9.new.json $(if $(PERFGATE_SUMMARY),-summary "$(PERFGATE_SUMMARY)")
-
 # Alternating live-engine benchmark pairs against a git ref:
 #   make bench-pair REF=<ref> N=10 [WORKLOADS="fanout_whale ride_join"]
 # archives REF into .bench_build/parent and runs each workload N times there
@@ -86,7 +71,10 @@ perfgate:
 # sweep's. cmd/benchpair folds each run's result line into its side's
 # parent_<i>.json or change_<i>.json and prints the table: per workload and
 # end-to-end metric, both medians with their quartiles, the change in the
-# median, and in how many pairs the change was better. The raw results
+# median, in how many pairs the change was better, and a verdict against the
+# metric's bound in BENCHMARK.json (worse, unresolved or ok). The target
+# fails when a row is worse or the change failed more runs than the
+# parent. The raw results
 # stay in .bench_build/pairs: each run's whole output, comment lines and
 # verification detail and stderr included, as <side>_<pair>_<workload>.txt.
 REF ?= HEAD

@@ -1,7 +1,8 @@
 // Benchmarks regenerating the paper's evaluation: one testing.B benchmark
 // per table and figure (each iteration runs the experiment in quick mode;
-// use cmd/whalebench for the full-size tables), plus microbenchmarks of the
-// core primitives (serialization, tree construction, dynamic switching).
+// use cmd/whalebench for the full-size tables). The core-primitive
+// benchmarks live beside the code they time, in internal/tuple, obs,
+// multicast, queueing and dsps.
 //
 //	go test -bench=. -benchmem
 package whale_test
@@ -10,9 +11,6 @@ import (
 	"testing"
 
 	"whale/internal/bench"
-	"whale/internal/microbench"
-	"whale/internal/multicast"
-	"whale/internal/queueing"
 )
 
 // benchExperiment runs one registered experiment per iteration.
@@ -58,58 +56,4 @@ func BenchmarkFig34RacksLatency(b *testing.B)          { benchExperiment(b, "fig
 func BenchmarkAblationWaterline(b *testing.B)          { benchExperiment(b, "ablation-waterline") }
 func BenchmarkAblationSmoothing(b *testing.B)          { benchExperiment(b, "ablation-smoothing") }
 func BenchmarkAblationDstar(b *testing.B)              { benchExperiment(b, "ablation-dstar") }
-
-// --- core primitive microbenchmarks ---------------------------------------
-//
-// The bodies live in internal/microbench so cmd/whaleperf gates the exact
-// same code via testing.Benchmark.
-
-func BenchmarkTupleSerialize(b *testing.B)        { microbench.TupleSerialize(b) }
-func BenchmarkTupleDeserialize(b *testing.B)      { microbench.TupleDeserialize(b) }
-func BenchmarkWorkerMessageEncode(b *testing.B)   { microbench.WorkerMessageEncode(b) }
-func BenchmarkWorkerMessageDecode(b *testing.B)   { microbench.WorkerMessageDecode(b) }
-func BenchmarkControlEnvelopeEncode(b *testing.B) { microbench.ControlEnvelopeEncode(b) }
-func BenchmarkTraceRecordOff(b *testing.B)        { microbench.TraceRecordOff(b) }
-func BenchmarkTraceRecordOn(b *testing.B)         { microbench.TraceRecordOn(b) }
-func BenchmarkBottleneckAttribution(b *testing.B) { benchExperiment(b, "bottleneck") }
-
-func destIDs(n int) []multicast.NodeID {
-	out := make([]multicast.NodeID, n)
-	for i := range out {
-		out[i] = multicast.NodeID(i + 1)
-	}
-	return out
-}
-
-func BenchmarkBuildNonBlockingTree480(b *testing.B) { microbench.TreeNonBlocking480(b) }
-
-func BenchmarkBuildBinomialTree480(b *testing.B) {
-	dests := destIDs(480)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		multicast.BuildBinomial(0, dests)
-	}
-}
-
-func BenchmarkDynamicScaleDown(b *testing.B) {
-	base := multicast.BuildNonBlocking(0, destIDs(480), 5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := base.Clone()
-		multicast.ScaleDown(tr, 3)
-	}
-}
-
-func BenchmarkDynamicScaleUp(b *testing.B) { microbench.TreeScaleUp480(b) }
-
-func BenchmarkQueueingMaxOutDegree(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		queueing.MaxOutDegree(30000, 6e-6, 1024)
-	}
-}
-
-func BenchmarkCapabilitySequence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		queueing.Capability(480, 3, 481)
-	}
-}
+func BenchmarkBottleneckAttribution(b *testing.B)      { benchExperiment(b, "bottleneck") }

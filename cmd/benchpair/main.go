@@ -5,8 +5,19 @@
 // run's JSON result line. For every workload and end-to-end metric
 // BENCHMARK.json declares it prints one markdown row: the parent's and the
 // change's median with its quartiles, the change in the median, and in how
-// many pairs the change was better. `make bench-pair REF=<ref> N=<n>` runs
-// the pairs and then this command:
+// many pairs the change was better, and a verdict against the metric's
+// bound:
+//
+//   - worse: the change's median is worse than the parent's by more than
+//     the bound;
+//   - unresolved: the parent's interquartile range exceeds the bound times
+//     its median, so the parent's own runs spread too widely to tell,
+//     unless every change run beat every parent run;
+//   - ok otherwise.
+//
+// It exits 1 when a row is worse, or when the change has more failed or
+// missing runs than the parent. `make bench-pair REF=<ref> N=<n>` runs the
+// pairs and then this command:
 //
 //	benchpair -spec BENCHMARK.json [-workloads "a b"] .bench_build/pairs
 //
@@ -30,6 +41,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -43,9 +55,10 @@ type spec struct {
 		Name string `json:"name"`
 	} `json:"workloads"`
 	EndToEnd []struct {
-		Name   string `json:"name"`
-		Unit   string `json:"unit"`
-		Better string `json:"better"`
+		Name   string  `json:"name"`
+		Unit   string  `json:"unit"`
+		Better string  `json:"better"`
+		Bound  float64 `json:"bound"`
 	} `json:"end_to_end"`
 }
 
@@ -72,7 +85,11 @@ func main() {
 	case *mergeInto != "" && *workload != "" && flag.NArg() == 1:
 		err = merge(*mergeInto, *workload, flag.Arg(0))
 	case *mergeInto == "" && flag.NArg() == 1:
-		err = summarise(os.Stdout, *specPath, strings.Fields(*workloads), flag.Arg(0))
+		var pass bool
+		pass, err = summarise(os.Stdout, *specPath, strings.Fields(*workloads), flag.Arg(0))
+		if err == nil && !pass {
+			os.Exit(1)
+		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: benchpair [-spec BENCHMARK.json] [-workloads \"a b\"] DIR\n"+
 			"       benchpair -merge FILE -workload NAME RUN_OUTPUT")
@@ -117,11 +134,12 @@ func merge(file, workload, runOut string) error {
 }
 
 // summarise prints the table for the named workloads (all the spec
-// declares when only is empty).
-func summarise(out io.Writer, specPath string, only []string, dir string) error {
+// declares when only is empty) and reports whether the change passes: no
+// row worse, and no more failed runs than the parent.
+func summarise(out io.Writer, specPath string, only []string, dir string) (bool, error) {
 	var sp spec
 	if err := readJSON(specPath, &sp); err != nil {
-		return err
+		return false, err
 	}
 	if len(only) > 0 {
 		keep := sp.Workloads[:0]
@@ -131,7 +149,7 @@ func summarise(out io.Writer, specPath string, only []string, dir string) error 
 			}
 		}
 		if sp.Workloads = keep; len(keep) != len(only) {
-			return fmt.Errorf("-workloads %q names a workload the spec does not declare", strings.Join(only, " "))
+			return false, fmt.Errorf("-workloads %q names a workload the spec does not declare", strings.Join(only, " "))
 		}
 	}
 	var parent, change []results
@@ -145,11 +163,12 @@ func summarise(out io.Writer, specPath string, only []string, dir string) error 
 		parent, change = append(parent, p), append(change, c)
 	}
 	if len(parent) == 0 {
-		return fmt.Errorf("no parent_1.json and change_1.json pair in %s", dir)
+		return false, fmt.Errorf("no parent_1.json and change_1.json pair in %s", dir)
 	}
 	fmt.Fprintf(out, "%d pairs\n\n", len(parent))
-	fmt.Fprintln(out, "| workload | metric | parent median [q1–q3] | change median [q1–q3] | Δ median | change better |")
-	fmt.Fprintln(out, "|---|---|---|---|---|---|")
+	fmt.Fprintln(out, "| workload | metric | parent median [q1–q3] | change median [q1–q3] | Δ median | change better | verdict |")
+	fmt.Fprintln(out, "|---|---|---|---|---|---|---|")
+	worse := 0
 	for _, w := range sp.Workloads {
 		for _, m := range sp.EndToEnd {
 			var ps, cs []float64
@@ -173,12 +192,48 @@ func summarise(out io.Writer, specPath string, only []string, dir string) error 
 			if pm != 0 {
 				delta = fmt.Sprintf("%+.1f %%", 100*(cm-pm)/pm)
 			}
-			fmt.Fprintf(out, "| %s | %s | %s | %s | %s | %d/%d |\n", w.Name, m.Name,
-				spread(ps, m.Unit), spread(cs, m.Unit), delta, better, len(ps))
+			v := verdict(ps, cs, m.Better == "higher", m.Bound)
+			if v == "worse" {
+				worse++
+			}
+			fmt.Fprintf(out, "| %s | %s | %s | %s | %s | %d/%d | %s |\n", w.Name, m.Name,
+				spread(ps, m.Unit), spread(cs, m.Unit), delta, better, len(ps), v)
 		}
 	}
-	fmt.Fprintf(out, "\nfailed or missing runs: parent %s, change %s\n", failures(parent, sp), failures(change, sp))
-	return nil
+	runs := len(parent) * len(sp.Workloads)
+	pf, cf := failures(parent, sp), failures(change, sp)
+	fmt.Fprintf(out, "\nfailed or missing runs: parent %d/%d, change %d/%d\n", pf, runs, cf, runs)
+	switch {
+	case worse > 0:
+		fmt.Fprintf(out, "verdict: %d row(s) worse than the bound\n", worse)
+	case cf > pf:
+		fmt.Fprintln(out, "verdict: the change failed more runs than the parent")
+	default:
+		fmt.Fprintln(out, "verdict: no row worse than the bound")
+	}
+	return worse == 0 && cf <= pf, nil
+}
+
+// verdict compares the change's runs cs with the parent's ps on a metric
+// whose median may move by at most bound (a fraction of the parent's
+// median) in the wrong direction.
+func verdict(ps, cs []float64, higher bool, bound float64) string {
+	pm, cm := quantile(ps, 0.5), quantile(cs, 0.5)
+	loss := (cm - pm) / math.Abs(pm)
+	if higher {
+		loss = -loss
+	}
+	if loss > bound {
+		return "worse"
+	}
+	allBetter := quantile(cs, 1) < quantile(ps, 0)
+	if higher {
+		allBetter = quantile(cs, 0) > quantile(ps, 1)
+	}
+	if (quantile(ps, 0.75)-quantile(ps, 0.25))/math.Abs(pm) > bound && !allBetter {
+		return "unresolved"
+	}
+	return "ok"
 }
 
 func readJSON(path string, v any) error {
@@ -200,7 +255,7 @@ func value(r results, workload, metric string) (float64, bool) {
 
 // failures counts the workload runs that reported a failure, an incorrect
 // result, or no result at all.
-func failures(rs []results, sp spec) string {
+func failures(rs []results, sp spec) int {
 	bad := 0
 	for _, r := range rs {
 		for _, w := range sp.Workloads {
@@ -209,7 +264,7 @@ func failures(rs []results, sp spec) string {
 			}
 		}
 	}
-	return fmt.Sprintf("%d/%d", bad, len(rs)*len(sp.Workloads))
+	return bad
 }
 
 // spread formats the median and the quartiles of xs; seconds below one

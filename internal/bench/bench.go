@@ -31,19 +31,6 @@ type Report struct {
 	Rows [][]string
 	// Notes records paper-vs-measured commentary.
 	Notes []string
-	// Metrics exposes selected numeric results (keyed "<series>/<x>", e.g.
-	// "Whale/480" -> tuples/sec) so tooling like cmd/whaleperf can gate on
-	// them without parsing the formatted rows. Populated by the experiments
-	// the perf gate tracks; nil elsewhere.
-	Metrics map[string]float64
-}
-
-// setMetric records one numeric result on the report.
-func (r *Report) setMetric(key string, v float64) {
-	if r.Metrics == nil {
-		r.Metrics = map[string]float64{}
-	}
-	r.Metrics[key] = v
 }
 
 // String renders the report as an aligned text table.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -43,11 +45,30 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
-// TestAllExperimentsQuick smoke-runs every experiment in quick mode and
-// sanity-checks the report structure.
+// liveExperiments run on the emulated verbs library in real time, so their
+// numbers move from run to run. Every other experiment runs on the
+// discrete-event simulator and is deterministic.
+var liveExperiments = map[string]bool{"fig11": true, "fig29": true, "fig30": true}
+
+// TestAllExperimentsQuick runs every experiment in quick mode and checks
+// the report structure. A simulated experiment's report must also equal its
+// golden, testdata/quick/<id>.txt, byte for byte. The golden is the output
+// of the command that regenerates it after an intended change:
+//
+//	go run ./cmd/whalebench -quick <id> > internal/bench/testdata/quick/<id>.txt
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment sweep skipped in -short")
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "quick", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldens {
+		id := strings.TrimSuffix(filepath.Base(g), ".txt")
+		if _, ok := Get(id); !ok || liveExperiments[id] {
+			t.Errorf("golden %s names no registered simulated experiment", g)
+		}
 	}
 	for _, id := range IDs() {
 		id := id
@@ -70,8 +91,39 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if !strings.Contains(rep.String(), id) {
 				t.Fatal("String() missing id")
 			}
+			if liveExperiments[id] {
+				return
+			}
+			path := filepath.Join("testdata", "quick", id+".txt")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%s: no golden (%v); regenerate it with go run ./cmd/whalebench -quick %s", id, err, id)
+			}
+			// whalebench prints a blank line after each report.
+			if got := rep.String() + "\n"; got != string(want) {
+				n, g, w := firstDiff(got, string(want))
+				t.Fatalf("%s differs from %s at line %d:\n got: %q\nwant: %q", id, path, n, g, w)
+			}
 		})
 	}
+}
+
+// firstDiff returns the 1-based number of the first line at which got and
+// want differ, and that line of each.
+func firstDiff(got, want string) (int, string, string) {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	line := func(ls []string, i int) string {
+		if i < len(ls) {
+			return ls[i]
+		}
+		return "<end of report>"
+	}
+	for i := 0; i < len(g) || i < len(w); i++ {
+		if line(g, i) != line(w, i) {
+			return i + 1, line(g, i), line(w, i)
+		}
+	}
+	return 0, "", ""
 }
 
 // cell parses a numeric report cell (strips x / % / unit suffixes).

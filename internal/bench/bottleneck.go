@@ -90,7 +90,6 @@ func runBottleneck(quick bool) (*Report, error) {
 			sc.name, top.Component, top.Class,
 			pct(top.Share), ms(float64(top.StallNS)) + " stalled", hit,
 		})
-		rep.setMetric(sc.name+"/top_share", top.Share)
 		if hit != "yes" {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
 				"%s: expected %s %s, analyzer ranked %s %s first",
@@ -130,9 +129,6 @@ func appendHotOperatorRow(rep *Report, quick bool) {
 		fmt.Sprintf("target %d machines, predicted %d", res.AutoscaleTarget, want),
 		hit,
 	})
-	rep.setMetric("hot-operator/rho", res.MatchRho)
-	rep.setMetric("hot-operator/target", float64(res.AutoscaleTarget))
-	rep.setMetric("hot-operator/predicted", float64(want))
 	if hit != "yes" {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"hot-operator: expected scale-up to %d, model said %s to %d",

@@ -190,7 +190,6 @@ func throughputSweep(p netmodel.Params, app string) func(bool) (*Report, error) 
 			for _, s := range fig13Systems {
 				res := desRun(s, n, p, quick, nil)
 				row = append(row, f0(res.Throughput))
-				rep.setMetric(fmt.Sprintf("%s/%d", s, n), res.Throughput)
 				if n == 480 {
 					switch s {
 					case cluster.Storm:
@@ -268,7 +267,6 @@ func treeThroughput(p netmodel.Params) func(bool) (*Report, error) {
 			for _, s := range treeSystems {
 				res := desRun(s.v, n, p, quick, nil)
 				row = append(row, f0(res.Throughput))
-				rep.setMetric(fmt.Sprintf("%s/%d", s.name, n), res.Throughput)
 			}
 			rep.Rows = append(rep.Rows, row)
 		}

@@ -7,7 +7,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -23,24 +22,63 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by time, FIFO among simultaneous events.
+func (ev *event) before(o *event) bool {
+	if ev.at != o.at {
+		return ev.at < o.at
 	}
-	return h[i].seq < h[j].seq // FIFO among simultaneous events
+	return ev.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// eventHeap is a binary min-heap of events held by value, so scheduling
+// allocates nothing beyond the slice's growth.
+type eventHeap []event
+
+// push adds ev, sifting it up from the new leaf.
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, ev)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = ev
+}
+
+// pop removes and returns the earliest event; the heap must not be empty.
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // release the callback
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(&q[c]) {
+			c = r
+		}
+		if !q[c].before(&last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is the simulation clock and scheduler. Not safe for concurrent
@@ -63,7 +101,7 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling into the past (%d < %d)", t, e.now))
 	}
 	e.seq++
-	heap.Push(&e.heap, &event{at: t, seq: e.seq, fn: fn})
+	e.heap.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn d nanoseconds from now.
@@ -74,7 +112,7 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.heap).(*event)
+	ev := e.heap.pop()
 	e.now = ev.at
 	ev.fn()
 	return true

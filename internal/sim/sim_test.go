@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -21,6 +22,44 @@ func TestEventOrdering(t *testing.T) {
 	}
 	if e.Now() != 300 {
 		t.Fatalf("clock %d", e.Now())
+	}
+}
+
+// TestEventOrderingDeepHeap: with many pending events, few distinct times
+// and events scheduled from inside callbacks, events run in (time,
+// scheduling order) order.
+func TestEventOrderingDeepHeap(t *testing.T) {
+	e := NewEngine()
+	g := rand.New(rand.NewSource(1))
+	type stamp struct {
+		at  Time
+		seq int
+	}
+	var ran []stamp
+	seq := 0
+	var schedule func(at Time)
+	schedule = func(at Time) {
+		seq++
+		s := stamp{at, seq}
+		e.At(at, func() {
+			ran = append(ran, s)
+			if len(ran) < 2000 && g.Intn(2) == 0 {
+				schedule(e.Now() + Time(g.Intn(5)))
+			}
+		})
+	}
+	for i := 0; i < 1000; i++ {
+		schedule(Time(g.Intn(50)))
+	}
+	e.Run()
+	if len(ran) != seq {
+		t.Fatalf("ran %d of %d events", len(ran), seq)
+	}
+	for i := 1; i < len(ran); i++ {
+		a, b := ran[i-1], ran[i]
+		if a.at > b.at || (a.at == b.at && a.seq > b.seq) {
+			t.Fatalf("event %d %+v ran after %+v", i, b, a)
+		}
 	}
 }
 
