@@ -130,10 +130,12 @@ func (a *ackerBolt) finish(root int64, e *ackEntry, ok bool, c *Collector) {
 	if ok {
 		okVal = 1
 	}
-	c.ex.sendDirect(e.spoutTask, &tuple.Tuple{
+	tp := c.ex.tuples.New()
+	*tp = tuple.Tuple{
 		Stream: streamAckEvent,
 		Values: []tuple.Value{root, okVal},
-	})
+	}
+	c.ex.sendDirect(e.spoutTask, tp)
 }
 
 // Cleanup implements Bolt.

@@ -520,3 +520,78 @@ func TestDrainWaitsForPoppedBatch(t *testing.T) {
 		t.Fatalf("sink saw %d tuples, want 5", got)
 	}
 }
+
+// raceEnabled is set by race_test.go under -race.
+var raceEnabled bool
+
+// TestDeliverDataAllocsPerMessage is the receive path's allocation gate:
+// 4096 multicast messages fed through a leaf worker's delivery path to its
+// four local tasks may cost at most 0.05 heap objects each, for everything
+// the engine does with them. The decoded tuples come out of the delivery
+// loop's slab (tuple.Slab), not one allocation per message.
+func TestDeliverDataAllocsPerMessage(t *testing.T) {
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return &countSpout{n: 0, keys: 1} }, 1)
+	b.Bolt("sink", func() Bolt {
+		return &funcBolt{exec: func(_ *TaskContext, tp *tuple.Tuple, _ *Collector) { _ = tp.Int(0) }}
+	}, 4).All("src")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Start(topo, Config{
+		Workers: 2, Network: transport.NewInprocNetwork(0),
+		Comm: WorkerOriented, Multicast: MulticastNonBlocking, FixedDstar: true, InitialDstar: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	eng.WaitSpouts()
+
+	srcTask := eng.assign.TasksOf["src"][0]
+	src := eng.assign.WorkerOf[srcTask]
+	w := eng.workers[1-src]
+	gid, ok := eng.groupOf("src", "src", src)
+	if !ok {
+		t.Fatal("no multicast group for the spout's worker")
+	}
+	tr, version, _ := w.groups[gid].Load().activeTree()
+	if n := len(tr.Children(w.id)); n != 0 {
+		t.Fatalf("worker %d relays to %d children, want a leaf", w.id, n)
+	}
+	if k := len(eng.groupLocalTasks(gid, w.id)); k < 2 {
+		t.Fatalf("%d group-local tasks on worker %d, want at least 2", k, w.id)
+	}
+
+	const msgs = 4096
+	mc := tuple.WorkerMessage{Kind: tuple.KindMulticastMessage, Group: gid, TreeVersion: version, SrcWorker: src}
+	raws := make([][]byte, msgs)
+	for i := range raws {
+		raws[i] = workerMessage(t, mc, &tuple.Tuple{Stream: "src", Values: []tuple.Value{int64(i), "k"},
+			ID: int64(i + 1), SrcTask: srcTask, RootEmitNS: 1}, nil)
+	}
+	// Stand in for the delivery loop, which stays idle: nothing is staged.
+	var scratch tuple.WorkerMessage
+	var slab tuple.Slab
+	deliverAll := func() {
+		for _, raw := range raws {
+			if _, err := tuple.DecodeWorkerMessageInto(&scratch, raw); err != nil {
+				t.Fatal(err)
+			}
+			w.deliverData(transport.WorkerID(src), &scratch, raw, &slab)
+		}
+	}
+	deliverAll() // grows the inboxes to hold a pass
+	if !eng.Drain(10 * time.Second) {
+		t.Fatal("engine did not drain")
+	}
+	allocs := testing.AllocsPerRun(1, deliverAll)
+	if per := allocs / msgs; per > 0.05 && !raceEnabled {
+		t.Fatalf("delivering %d multicast messages allocated %.0f objects, %.3f a message, want <= 0.05",
+			msgs, allocs, per)
+	}
+	if !eng.Drain(10 * time.Second) {
+		t.Fatal("engine did not drain")
+	}
+}

@@ -84,15 +84,18 @@ func (c *Collector) NoAck() {
 // executor runs one task instance: a goroutine consuming the inbound queue
 // (bolts) or driving the spout loop (spouts).
 type executor struct {
-	ctx      TaskContext
-	w        *worker
-	rt       *router
-	spec     *OperatorSpec // kept for routing rebuilds after a rescale
-	isSink   bool
-	spout    Spout
-	bolt     Bolt
-	col      *Collector
-	nextID   int64
+	ctx    TaskContext
+	w      *worker
+	rt     *router
+	spec   *OperatorSpec // kept for routing rebuilds after a rescale
+	isSink bool
+	spout  Spout
+	bolt   Bolt
+	col    *Collector
+	nextID int64
+	// tuples holds the tuples this executor constructs: emit, like nextID,
+	// runs on the executor's goroutine only.
+	tuples   tuple.Slab
 	curRoot  int64 // root-emit timestamp inherited from the tuple being executed
 	curTrace int64 // trace ID inherited from the tuple being executed
 
@@ -291,7 +294,8 @@ func (ex *executor) queueLen() int { return ex.inbox.len() }
 // configured communication mechanism.
 func (ex *executor) emit(stream string, values []tuple.Value) {
 	ex.nextID++
-	tp := &tuple.Tuple{
+	tp := ex.tuples.New()
+	*tp = tuple.Tuple{
 		Stream:     stream,
 		Values:     values,
 		ID:         ex.nextID,
@@ -328,7 +332,8 @@ func (ex *executor) emitReliable(stream string, msgID int64, values []tuple.Valu
 	}
 	ex.nextID++
 	root := nonzeroRand(ex.rng)
-	tp := &tuple.Tuple{
+	tp := ex.tuples.New()
+	*tp = tuple.Tuple{
 		Stream:     stream,
 		Values:     values,
 		ID:         ex.nextID,
@@ -353,7 +358,8 @@ func (ex *executor) emitReliable(stream string, msgID int64, values []tuple.Valu
 // emitUnanchored emits a tuple outside any reliability tree.
 func (ex *executor) emitUnanchored(stream string, values []tuple.Value, emitNS int64) {
 	ex.nextID++
-	tp := &tuple.Tuple{
+	tp := ex.tuples.New()
+	*tp = tuple.Tuple{
 		Stream:     stream,
 		Values:     values,
 		ID:         ex.nextID,

@@ -617,14 +617,16 @@ func (w *worker) dispatch(from transport.WorkerID, payload []byte) {
 func (w *worker) deliverLoop() {
 	defer w.wg.Done()
 	// Single-goroutine decode scratch: DstIDs capacity is reused across
-	// messages, so steady-state delivery does not allocate per message.
+	// messages, and the decoded tuples come out of this loop's own slab, so
+	// steady-state delivery does not allocate per message.
 	var scratch tuple.WorkerMessage
+	var slab tuple.Slab
 	for {
 		for _, it := range w.staged.take() {
 			if _, err := tuple.DecodeWorkerMessageInto(&scratch, it.raw); err != nil {
 				w.eng.metrics.DecodeErrors.Inc()
 			} else {
-				w.deliverData(transport.WorkerID(it.from), &scratch, it.raw)
+				w.deliverData(transport.WorkerID(it.from), &scratch, it.raw, &slab)
 			}
 			w.staged.done()
 		}
@@ -640,12 +642,13 @@ func (w *worker) deliverLoop() {
 // for multicast, onto the relay path). raw is the full encoded message the
 // handler received — owned by us per the transport contract — forwarded
 // verbatim by relays. The decoded tuple is a view over raw, shared by every
-// local destination. Span clocks are read only for a traced payload
-// (peeked before decode); multicast.latency_ns reads it only for a sampled
-// message (metrics.SampleEvery on this goroutine's delivered count).
+// local destination, and comes out of the caller's slab. Span clocks are
+// read only for a traced payload (peeked before decode);
+// multicast.latency_ns reads it only for a sampled message
+// (metrics.SampleEvery on this goroutine's delivered count).
 //
 //whale:hotpath
-func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, raw []byte) {
+func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, raw []byte, slab *tuple.Slab) {
 	traced := tuple.PeekTraceID(msg.Payload) != 0
 	w.delivered++
 	sampled := metrics.Sampled(w.delivered)
@@ -662,7 +665,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 		if owed < 1 {
 			owed = 1
 		}
-		tp, _, err := tuple.DecodeTuple(msg.Payload)
+		tp, _, err := slab.Decode(msg.Payload)
 		if err != nil {
 			w.eng.metrics.DecodeErrors.Inc()
 			w.grantData(src, owed)
@@ -696,7 +699,7 @@ func (w *worker) deliverData(from transport.WorkerID, msg *tuple.WorkerMessage, 
 			return
 		}
 		t0 = metrics.Clock(traced)
-		tp, _, err := tuple.DecodeTuple(msg.Payload)
+		tp, _, err := slab.Decode(msg.Payload)
 		if err != nil {
 			w.eng.metrics.DecodeErrors.Inc()
 			w.grantData(src, owed)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"whale/internal/metrics"
+	"whale/internal/tuple"
 )
 
 // Fixed sizes and bounds: nothing sets them.
@@ -781,6 +782,7 @@ func (c *Channel) recvLoopRead() {
 // recvLoopTwoSided reaps receive completions and reposts slots.
 func (c *Channel) recvLoopTwoSided() {
 	defer c.wg.Done()
+	var bufs tuple.Slab
 	for {
 		wc, ok := c.rcq.next(c.done)
 		if !ok {
@@ -790,7 +792,7 @@ func (c *Channel) recvLoopTwoSided() {
 			continue // flush on teardown
 		}
 		slot := int(wc.WRID)
-		buf := make([]byte, wc.Bytes)
+		buf := bufs.Buf(wc.Bytes)
 		if err := c.slots.ReadAt(buf, slot*c.slotSize); err != nil {
 			return
 		}

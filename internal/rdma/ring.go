@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+
+	"whale/internal/tuple"
 )
 
 // Ring layout constants: the first 16 bytes of the region are control words
@@ -34,6 +36,8 @@ type Ring struct {
 	// read from whichever goroutine asks for the channel's pressure.
 	head atomic.Uint64
 	tail atomic.Uint64 // producer's cached view; authoritative value is in the MR
+	// bufs hands LocalConsume its receive buffers; the consumer's alone.
+	bufs tuple.Slab
 }
 
 // NewRing wraps an MR as a ring. The MR must be at least 64 bytes.
@@ -150,8 +154,9 @@ func (r *Ring) writeWrapped(pos uint64, p []byte) error {
 // LocalConsume reads all complete frames currently published (for the
 // one-sided WRITE mode, where the consumer owns the ring and reads it with
 // plain local access), advances the tail, and invokes fn per frame. The
-// published range is copied out of the region once; the frames handed to fn
-// are sub-slices of that one buffer, which fn's callee owns from then on.
+// published range is copied out of the region once, into a buffer cut from
+// the consumer's receive chunk; the frames handed to fn are sub-slices of
+// that one buffer, which fn's callee owns from then on.
 func (r *Ring) LocalConsume(fn func(frame []byte)) (int, error) {
 	var hb [8]byte
 	if err := r.mr.ReadAt(hb[:], ringHeadOff); err != nil {
@@ -165,7 +170,7 @@ func (r *Ring) LocalConsume(fn func(frame []byte)) (int, error) {
 	if head < tail || head-tail > uint64(r.size) {
 		return 0, fmt.Errorf("rdma: ring corrupt (head=%d tail=%d)", head, tail)
 	}
-	buf := make([]byte, head-tail)
+	buf := r.bufs.Buf(int(head - tail))
 	if err := r.readWrapped(tail, buf); err != nil {
 		return 0, err
 	}
@@ -227,7 +232,8 @@ type RemoteRing struct {
 	dataSize int
 	tail     uint64
 	wrid     uint64
-	tailBuf  [8]byte // tail-feedback scratch; valid per poll (its WRITE is waited for)
+	tailBuf  [8]byte    // tail-feedback scratch; valid per poll (its WRITE is waited for)
+	bufs     tuple.Slab // the polls' receive buffers
 }
 
 // NewRemoteRing prepares a consumer for the remote ring behind rkey with
@@ -267,8 +273,11 @@ func (rr *RemoteRing) readRemote(stageOff, off, n int, cq *CQ) error {
 // Poll fetches any newly published frames from the remote ring, invoking fn
 // for each, and writes the tail feedback back to the producer. It returns
 // the number of frames consumed. cq is the consumer-owned send CQ. The
-// frames alias one buffer allocated per poll (none when nothing was
-// published), which passes to fn's callee.
+// frames alias one buffer per poll (none when nothing was published), which
+// passes to fn's callee. The buffer is cut from a receive chunk the ring
+// allocates and then forgets (tuple.Slab.Buf), so a run of small polls
+// costs one allocation per chunk, not one per poll, and a retained frame
+// pins its chunk until it is dropped.
 func (rr *RemoteRing) Poll(cq *CQ, fn func(frame []byte)) (int, error) {
 	// Read the remote head counter.
 	if err := rr.readRemote(0, ringHeadOff, 8, cq); err != nil {
@@ -304,9 +313,9 @@ func (rr *RemoteRing) Poll(cq *CQ, fn func(frame []byte)) (int, error) {
 		}
 	}
 	// Copy the staged range out once — linearised across the wrap — and
-	// hand the frames out as sub-slices of that buffer: one allocation per
-	// poll however many frames it found. The callee owns the buffer.
-	buf := make([]byte, newBytes)
+	// hand the frames out as sub-slices of that buffer, however many frames
+	// it found. The callee owns the buffer.
+	buf := rr.bufs.Buf(newBytes)
 	if err := rr.stageRead(rr.tail, buf); err != nil {
 		return 0, err
 	}

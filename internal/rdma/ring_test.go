@@ -373,7 +373,8 @@ func TestQuickRingRandomInterleavings(t *testing.T) {
 
 // TestRingEmptyPollAllocatesNothing: a poll that finds no new frame is one
 // 8-byte READ of the head, region to region, and allocates nothing; one
-// that finds frames allocates the one buffer they share.
+// that finds frames cuts the one buffer they share from the ring's receive
+// chunk, so fifty such polls allocate less than once each.
 func TestRingEmptyPollAllocatesNothing(t *testing.T) {
 	prod, cons, cq := ringPair(t, 4096)
 	nop := func([]byte) {}
@@ -399,8 +400,8 @@ func TestRingEmptyPollAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		frames += n
-	}); avg > 1 && !raceEnabled {
-		t.Fatalf("a Poll that found 8 frames allocates %v times, want once", avg)
+	}); avg != 0 && !raceEnabled {
+		t.Fatalf("a Poll that found 8 frames allocates %v times, want under once", avg)
 	}
 	if frames != 8*51 {
 		t.Fatalf("polled %d frames", frames)

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"whale/internal/tuple"
 )
 
 // TCPNetwork connects workers over real loopback TCP sockets, paying the
@@ -81,9 +83,10 @@ func (n *TCPNetwork) addrOf(id WorkerID) (string, bool) {
 
 // tcpConn is one outbound connection with a buffered writer.
 type tcpConn struct {
-	mu sync.Mutex
-	c  net.Conn
-	w  *bufio.Writer
+	mu  sync.Mutex
+	c   net.Conn
+	w   *bufio.Writer
+	hdr [8]byte // frame-header scratch, written under mu
 }
 
 type tcpTransport struct {
@@ -123,13 +126,16 @@ func (t *tcpTransport) readLoop(c net.Conn) {
 	defer c.Close()
 	r := bufio.NewReaderSize(c, 64<<10)
 	var hdr [8]byte
+	// The payloads are cut from receive chunks (tuple.Slab.Buf): each still
+	// passes to the handler, which owns it from then on.
+	var bufs tuple.Slab
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return
 		}
 		from := WorkerID(binary.LittleEndian.Uint32(hdr[0:]))
 		n := binary.LittleEndian.Uint32(hdr[4:])
-		payload := make([]byte, n)
+		payload := bufs.Buf(int(n))
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return
 		}
@@ -148,12 +154,11 @@ func (t *tcpTransport) Send(to WorkerID, payload []byte) error {
 		return err
 	}
 	return timedSend(&t.stats, len(payload), func() error {
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(t.id))
-		binary.LittleEndian.PutUint32(hdr[4:], uint32(len(payload)))
 		conn.mu.Lock()
 		defer conn.mu.Unlock()
-		if _, err := conn.w.Write(hdr[:]); err != nil {
+		binary.LittleEndian.PutUint32(conn.hdr[0:], uint32(t.id))
+		binary.LittleEndian.PutUint32(conn.hdr[4:], uint32(len(payload)))
+		if _, err := conn.w.Write(conn.hdr[:]); err != nil {
 			return err
 		}
 		if _, err := conn.w.Write(payload); err != nil {

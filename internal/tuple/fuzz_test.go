@@ -21,11 +21,21 @@ func FuzzDecodeTuple(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tp, n, err := DecodeTuple(data)
+		// The slab's decode shares DecodeTuple's body, and must agree with
+		// it on every input: the same error, or the same tuple.
+		var s Slab
+		stp, sn, serr := s.Decode(data)
+		if (err == nil) != (serr == nil) || (err != nil && err.Error() != serr.Error()) {
+			t.Fatalf("DecodeTuple error %v, Slab.Decode error %v", err, serr)
+		}
 		if err != nil {
 			return
 		}
 		if n < 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
+		}
+		if sn != n {
+			t.Fatalf("DecodeTuple consumed %d bytes, Slab.Decode %d", n, sn)
 		}
 		if got := EncodedSize(tp); got != n {
 			t.Fatalf("EncodedSize %d != consumed %d", got, n)
@@ -36,6 +46,13 @@ func FuzzDecodeTuple(f *testing.F) {
 		}
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("re-encode mismatch:\n in=%x\nout=%x", data[:n], re)
+		}
+		sre, err := AppendTuple(nil, stp)
+		if err != nil {
+			t.Fatalf("re-encode of slab-decoded tuple failed: %v", err)
+		}
+		if !bytes.Equal(sre, re) {
+			t.Fatalf("slab re-encode mismatch:\n DecodeTuple=%x\nSlab.Decode=%x", re, sre)
 		}
 	})
 }

@@ -104,8 +104,9 @@ func appendValue(dst []byte, v Value) ([]byte, error) {
 	return dst, nil
 }
 
-// decoded is the one allocation DecodeTuple makes: the tuple together with
-// the slice header its wire field points at.
+// decoded is the one allocation DecodeTuple makes, and one entry of a
+// Slab's decoded block: the tuple together with the slice header its wire
+// field points at.
 type decoded struct {
 	Tuple
 	fields []byte
@@ -118,70 +119,83 @@ type decoded struct {
 // not recycle buf while the decoded tuple is live (see DESIGN §11:
 // receive-path buffers transfer to the receiver and are never reused, which
 // makes the alias free). The stream name comes from a small intern table,
-// so a decode allocates only the tuple.
+// so a decode allocates only the tuple; Slab.Decode takes even that from a
+// slab.
 //
 //whale:hotpath
 func DecodeTuple(buf []byte) (*Tuple, int, error) {
+	t, fields, n, err := decodeTuple(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	d := &decoded{Tuple: t, fields: fields}
+	d.wire = &d.fields
+	return &d.Tuple, n, nil
+}
+
+// decodeTuple is the validating body DecodeTuple and Slab.Decode share. It
+// returns the tuple's header fields, its encoded field section (a sub-slice
+// of buf) and the number of bytes consumed.
+//
+//whale:hotpath
+func decodeTuple(buf []byte) (t Tuple, fields []byte, n int, err error) {
 	off := 0
 	slen, off, err := readU16(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	if off+int(slen) > len(buf) {
-		return nil, 0, ErrTruncated
+		return t, nil, 0, ErrTruncated
 	}
 	stream := buf[off : off+int(slen)]
 	off += int(slen)
-	var t Tuple
 	id, off, err := readU64(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	t.ID = int64(id)
 	src, off, err := readU32(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	t.SrcTask = int32(src)
 	emit, off, err := readU64(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	t.RootEmitNS = int64(emit)
 	root, off, err := readU64(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	t.RootID = int64(root)
 	av, off, err := readU64(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	t.AckVal = int64(av)
 	tid, off, err := readU64(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	t.TraceID = int64(tid)
 	ep, off, err := readU64(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	t.Epoch = int64(ep)
 	fieldsAt := off
 	nf, off, err := readU16(buf, off)
 	if err != nil {
-		return nil, 0, err
+		return t, nil, 0, err
 	}
 	for i := 0; i < int(nf); i++ {
 		if off, err = checkValue(buf, off); err != nil {
-			return nil, 0, err
+			return t, nil, 0, err
 		}
 	}
 	t.Stream = internStream(stream)
-	d := &decoded{Tuple: t, fields: buf[fieldsAt:off]}
-	d.wire = &d.fields
-	return &d.Tuple, off, nil
+	return t, buf[fieldsAt:off], off, nil
 }
 
 // checkValue validates the field at buf[off:] and returns the offset just
