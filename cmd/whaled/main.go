@@ -48,10 +48,6 @@ func main() {
 	checkpoint := flag.Duration("checkpoint", 0, "aligned snapshot checkpoint interval (0 = off; see DESIGN.md §13)")
 	membership := flag.Bool("membership", false, "print the cluster membership report as JSON on shutdown (also served at /debug/membership with -obs-addr)")
 	autoscale := flag.Duration("autoscale", 0, "M/D/1 autoscale controller interval (0 = off; requires -checkpoint; see DESIGN.md §15)")
-	asRhoHigh := flag.Float64("autoscale-rho-high", 0, "utilization above which an operator scales up (default 0.8)")
-	asRhoLow := flag.Float64("autoscale-rho-low", 0, "utilization below which an operator scales down (default 0.3)")
-	asCooldown := flag.Duration("autoscale-cooldown", 0, "minimum time between autoscale actions per operator (default 10x interval)")
-	asMaxStep := flag.Int("autoscale-max-step", 0, "max parallelism change per autoscale decision (default 4)")
 	flag.Parse()
 	if *traceOut != "" && *traceEvery == 0 {
 		*traceEvery = 100
@@ -99,13 +95,7 @@ func main() {
 		ObsAddr:            *obsAddr,
 		TraceSampleEvery:   *traceEvery,
 		CheckpointInterval: *checkpoint,
-		Autoscale: whale.AutoscaleConfig{
-			Interval: *autoscale,
-			RhoHigh:  *asRhoHigh,
-			RhoLow:   *asRhoLow,
-			Cooldown: *asCooldown,
-			MaxStep:  *asMaxStep,
-		},
+		Autoscale:          whale.AutoscaleConfig{Interval: *autoscale},
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

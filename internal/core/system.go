@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"whale/internal/control"
 	"whale/internal/dsps"
 	"whale/internal/obs"
 	"whale/internal/rdma"
@@ -89,7 +88,11 @@ const (
 	TransportRDMA
 )
 
-// Options tunes a cluster independent of the chosen System.
+// Options tunes a cluster independent of the chosen System. It carries the
+// deployment, the paper's own parameters (MMS, d*, Δt) and the switches that
+// turn a mechanism on; the engine's sizes, timeouts and retry counts keep
+// the defaults dsps.Config fills in. Every field but Transport, MMS, ObsAddr
+// and TraceSampleEvery is the dsps.Config field of the same name.
 type Options struct {
 	// Workers is the worker-process count (default 4).
 	Workers int
@@ -99,49 +102,36 @@ type Options struct {
 	MaxWorkers int
 	// Transport overrides the system's canonical wire.
 	Transport TransportKind
+	// ObsAddr, when non-empty, serves the observability endpoints
+	// (/metrics, /debug/whale, /debug/events, /debug/pprof) on that
+	// address (e.g. "127.0.0.1:9090"; ":0" picks a free port).
+	ObsAddr string
+
 	// MMS bounds Whale's stream slicing (default 256 KiB, the operating
 	// point the paper selects in Fig. 11). A batch below it leaves as soon
 	// as the link is free; the paper's wait-time limit is subsumed by that
 	// rule and has no knob.
 	MMS int
-	// TransferQueueCap is Q (default 1024).
-	TransferQueueCap int
 	// InitialDstar seeds the non-blocking tree (default 3).
 	InitialDstar int
 	// FixedDstar pins d*, disabling the §3.3 controller.
 	FixedDstar bool
 	// MonitorInterval is the controller Δt (default 10 ms).
 	MonitorInterval time.Duration
-	// Control tunes the self-adjusting controller thresholds.
-	Control control.Config
 
 	// AckEnabled turns on the Storm-style reliability plane (tracked
 	// spout emissions, acker tasks, at-least-once sources).
 	AckEnabled bool
-	// Ackers is the acker parallelism (default 1).
-	Ackers int
-	// AckTimeout fails incomplete reliability trees (default 5s).
-	AckTimeout time.Duration
 	// MaxSpoutPending caps in-flight reliability trees per spout task.
 	MaxSpoutPending int
-
 	// HeartbeatInterval enables the failure detector: workers beacon
 	// liveness to worker 0 at this period (0 disables detection).
 	HeartbeatInterval time.Duration
-	// SuspectAfter is the silence before a worker is suspected
-	// (default 5×HeartbeatInterval).
-	SuspectAfter time.Duration
-	// ConfirmAfter is the silence before a suspected worker is confirmed
-	// dead and multicast trees repair around it (default 3×SuspectAfter).
-	ConfirmAfter time.Duration
 	// CheckpointInterval enables aligned snapshot checkpointing (DESIGN
 	// §13): epoch barriers at this period, operator state into
 	// CheckpointStore, restore + source rewind after a confirmed failure
 	// (0 disables).
 	CheckpointInterval time.Duration
-	// CheckpointTimeout aborts an epoch whose barriers have not fully
-	// propagated (default 10×CheckpointInterval).
-	CheckpointTimeout time.Duration
 	// CheckpointStore persists per-epoch task snapshots (default:
 	// in-memory; use snapshot.NewFileStore for a durable directory).
 	CheckpointStore snapshot.Store
@@ -150,39 +140,10 @@ type Options struct {
 	// through Rescale. Requires CheckpointInterval > 0; the zero value
 	// disables it.
 	Autoscale dsps.AutoscaleConfig
-	// SendRetries bounds per-send retries on transient transport errors
-	// (default 3; negative disables retrying).
-	SendRetries int
-	// SendRetryBase is the first retry backoff (default 200µs).
-	SendRetryBase time.Duration
-
-	// CreditWindow is the per-link credit window in delivery units
-	// (default 4096; every link is credited, negative is an error).
-	CreditWindow int
-	// LinkQueueCap bounds each flow-controlled link's send queue
-	// (default 4096).
-	LinkQueueCap int
 	// ShedPolicy picks what a full link does with best-effort tuples:
 	// block (default), shed newest, or shed oldest. Acked tuples always
 	// block.
 	ShedPolicy dsps.ShedPolicy
-	// PauseAfter marks a link paused after one continuous credit wait of
-	// this length (default 150ms).
-	PauseAfter time.Duration
-	// DegradedAfter reports a subscriber degraded once its link stays
-	// paused this long (default 4×PauseAfter).
-	DegradedAfter time.Duration
-	// CreditTimeout bounds one credit wait before lost grants are forgiven
-	// (default 1s).
-	CreditTimeout time.Duration
-	// DrainTimeout bounds the quiescence drain inside Shutdown
-	// (default 2s).
-	DrainTimeout time.Duration
-
-	// ObsAddr, when non-empty, serves the observability endpoints
-	// (/metrics, /debug/whale, /debug/events, /debug/pprof) on that
-	// address (e.g. "127.0.0.1:9090"; ":0" picks a free port).
-	ObsAddr string
 	// TraceSampleEvery enables tuple-path tracing: every Nth spout root
 	// tuple carries a trace ID and records per-stage span timings
 	// (0 disables tracing).
@@ -195,15 +156,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MMS <= 0 {
 		o.MMS = 256 << 10
-	}
-	if o.TransferQueueCap <= 0 {
-		o.TransferQueueCap = 1024
-	}
-	if o.InitialDstar <= 0 {
-		o.InitialDstar = 3
-	}
-	if o.MonitorInterval <= 0 {
-		o.MonitorInterval = 10 * time.Millisecond
 	}
 	return o
 }
@@ -325,31 +277,16 @@ func (s System) EngineConfig(o Options) (dsps.Config, error) {
 		Workers:            o.Workers,
 		MaxWorkers:         o.MaxWorkers,
 		Network:            net,
-		TransferQueueCap:   o.TransferQueueCap,
-		Control:            o.Control,
 		MonitorInterval:    o.MonitorInterval,
 		InitialDstar:       o.InitialDstar,
 		FixedDstar:         o.FixedDstar,
 		AckEnabled:         o.AckEnabled,
-		Ackers:             o.Ackers,
-		AckTimeout:         o.AckTimeout,
 		MaxSpoutPending:    o.MaxSpoutPending,
 		HeartbeatInterval:  o.HeartbeatInterval,
-		SuspectAfter:       o.SuspectAfter,
-		ConfirmAfter:       o.ConfirmAfter,
 		CheckpointInterval: o.CheckpointInterval,
-		CheckpointTimeout:  o.CheckpointTimeout,
 		CheckpointStore:    o.CheckpointStore,
 		Autoscale:          o.Autoscale,
-		SendRetries:        o.SendRetries,
-		SendRetryBase:      o.SendRetryBase,
-		CreditWindow:       o.CreditWindow,
-		LinkQueueCap:       o.LinkQueueCap,
 		ShedPolicy:         o.ShedPolicy,
-		PauseAfter:         o.PauseAfter,
-		DegradedAfter:      o.DegradedAfter,
-		CreditTimeout:      o.CreditTimeout,
-		DrainTimeout:       o.DrainTimeout,
 		Obs:                scope,
 	}
 	switch s {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"whale/internal/dsps"
 	"whale/internal/obs"
 	"whale/internal/rdma"
+	"whale/internal/snapshot"
 	"whale/internal/tuple"
 )
 
@@ -156,30 +158,69 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.Workers != 4 || o.MMS != 256<<10 {
 		t.Fatalf("defaults: %+v", o)
 	}
-	if o.TransferQueueCap != 1024 || o.InitialDstar != 3 {
-		t.Fatalf("defaults: %+v", o)
-	}
-	if o.MonitorInterval != 10*time.Millisecond {
-		t.Fatalf("defaults: %+v", o)
-	}
 	// Explicit values survive.
-	o2 := Options{Workers: 9, MMS: 512, InitialDstar: 7}.withDefaults()
-	if o2.Workers != 9 || o2.MMS != 512 || o2.InitialDstar != 7 {
+	o2 := Options{Workers: 9, MMS: 512}.withDefaults()
+	if o2.Workers != 9 || o2.MMS != 512 {
 		t.Fatalf("overrides lost: %+v", o2)
 	}
 }
 
-func TestAckingOptionsReachEngine(t *testing.T) {
-	cfg, err := Whale.EngineConfig(Options{
-		Transport: TransportInproc, AckEnabled: true, Ackers: 3,
-		AckTimeout: 2 * time.Second, MaxSpoutPending: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
+// presetFields are the Options fields the preset layer consumes itself
+// instead of forwarding to dsps.Config.
+var presetFields = map[string]bool{"Transport": true, "MMS": true, "ObsAddr": true, "TraceSampleEvery": true}
+
+// sentinel returns a non-zero value of type ft that no default replaces.
+func sentinel(t *testing.T, ft reflect.Type) reflect.Value {
+	v := reflect.New(ft).Elem()
+	switch {
+	case ft == reflect.TypeOf((*snapshot.Store)(nil)).Elem():
+		v.Set(reflect.ValueOf(snapshot.NewMemStore()))
+	case ft.Kind() == reflect.Bool:
+		v.SetBool(true)
+	case ft.Kind() == reflect.Int || ft.Kind() == reflect.Int64:
+		v.SetInt(7)
+	case ft.Kind() == reflect.Float64:
+		v.SetFloat(0.5)
+	case ft.Kind() == reflect.Struct:
+		for i := 0; i < ft.NumField(); i++ {
+			v.Field(i).Set(sentinel(t, ft.Field(i).Type))
+		}
+	default:
+		t.Fatalf("no sentinel for %v", ft)
 	}
-	defer cfg.Network.Close()
-	if !cfg.AckEnabled || cfg.Ackers != 3 || cfg.AckTimeout != 2*time.Second || cfg.MaxSpoutPending != 7 {
-		t.Fatalf("ack options lost: %+v", cfg)
+	return v
+}
+
+// TestOptionsForwardToEngine: every Options field is either consumed by the
+// preset layer or is the dsps.Config field of the same name and type, and
+// EngineConfig carries each forwarded field over unchanged.
+func TestOptionsForwardToEngine(t *testing.T) {
+	ot, ct := reflect.TypeOf(Options{}), reflect.TypeOf(dsps.Config{})
+	for i := 0; i < ot.NumField(); i++ {
+		f := ot.Field(i)
+		t.Run(f.Name, func(t *testing.T) {
+			cf, ok := ct.FieldByName(f.Name)
+			if presetFields[f.Name] {
+				if ok {
+					t.Fatalf("preset-layer field %s shadows dsps.Config.%s", f.Name, f.Name)
+				}
+				return
+			}
+			if !ok || cf.Type != f.Type {
+				t.Fatalf("Options.%s %v is not a dsps.Config field of the same name and type", f.Name, f.Type)
+			}
+			o := Options{Transport: TransportInproc}
+			want := sentinel(t, f.Type)
+			reflect.ValueOf(&o).Elem().Field(i).Set(want)
+			cfg, err := Whale.EngineConfig(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cfg.Network.Close()
+			if got := reflect.ValueOf(cfg).FieldByIndex(cf.Index); !reflect.DeepEqual(got.Interface(), want.Interface()) {
+				t.Fatalf("EngineConfig dropped Options.%s: got %#v, want %#v", f.Name, got, want)
+			}
+		})
 	}
 }
 

@@ -364,6 +364,58 @@ func TestStartValidation(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins every default withDefaults fills in. The engine's
+// sizes, timeouts and retry counts have no other setter above dsps, so this
+// is where their values are fixed.
+func TestConfigDefaults(t *testing.T) {
+	const hb, ckpt = 100 * time.Millisecond, 300 * time.Millisecond
+	c := Config{HeartbeatInterval: hb, CheckpointInterval: ckpt}.withDefaults()
+	for _, d := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Workers", c.Workers, 1},
+		{"MaxWorkers", c.MaxWorkers, 1},
+		{"TransferQueueCap", c.TransferQueueCap, 1024},
+		{"ExecutorQueueCap", c.ExecutorQueueCap, 4096},
+		{"MonitorInterval", c.MonitorInterval, 10 * time.Millisecond},
+		{"InitialDstar", c.InitialDstar, 3},
+		{"Control.QueueCapacity", c.Control.QueueCapacity, 1024},
+		{"Ackers", c.Ackers, 1},
+		{"AckTimeout", c.AckTimeout, 5 * time.Second},
+		{"SuspectAfter", c.SuspectAfter, 5 * hb},
+		{"ConfirmAfter", c.ConfirmAfter, 15 * hb},
+		{"SendRetries", c.SendRetries, 3},
+		{"SendRetryBase", c.SendRetryBase, 200 * time.Microsecond},
+		{"CreditWindow", c.CreditWindow, 4096},
+		{"LinkQueueCap", c.LinkQueueCap, 4096},
+		{"PauseAfter", c.PauseAfter, 150 * time.Millisecond},
+		{"DegradedAfter", c.DegradedAfter, 600 * time.Millisecond},
+		{"CreditTimeout", c.CreditTimeout, time.Second},
+		{"DrainTimeout", c.DrainTimeout, 2 * time.Second},
+		{"CheckpointTimeout", c.CheckpointTimeout, 10 * ckpt},
+	} {
+		if d.got != d.want {
+			t.Errorf("default %s = %v, want %v", d.name, d.got, d.want)
+		}
+	}
+
+	// Derived defaults follow the value they derive from, explicit values
+	// survive, and negative SendRetries means none.
+	c = Config{
+		Workers: 3, TransferQueueCap: 64, HeartbeatInterval: hb, SuspectAfter: time.Second,
+		SendRetries: -1, PauseAfter: time.Second, CheckpointInterval: ckpt, CheckpointTimeout: time.Minute,
+	}.withDefaults()
+	if c.MaxWorkers != 3 || c.Control.QueueCapacity != 64 || c.ConfirmAfter != 3*time.Second ||
+		c.SendRetries != 0 || c.DegradedAfter != 4*time.Second || c.CheckpointTimeout != time.Minute {
+		t.Errorf("derived or explicit values lost: %+v", c)
+	}
+	// Detection and checkpoint timeouts stay unset while their mechanism is off.
+	if c = (Config{}).withDefaults(); c.SuspectAfter != 0 || c.ConfirmAfter != 0 || c.CheckpointTimeout != 0 {
+		t.Errorf("timeouts set with detection and checkpointing off: %+v", c)
+	}
+}
+
 func TestStopIsIdempotent(t *testing.T) {
 	b := NewTopologyBuilder()
 	b.Spout("s", func() Spout { return &countSpout{n: 10, keys: 2} }, 1)

@@ -131,12 +131,44 @@ func TestRateLimiterPacing(t *testing.T) {
 	}
 }
 
+// locationsStored counts the driver locations the matchers have stored.
+type locationsStored struct {
+	dsps.Bolt
+	n *atomic.Int64
+}
+
+func (m locationsStored) Execute(tp *tuple.Tuple, c *dsps.Collector) {
+	m.Bolt.Execute(tp, c)
+	if tp.Stream == StreamLocations {
+		m.n.Add(1)
+	}
+}
+
+// afterLocations holds a spout back until want locations are stored.
+type afterLocations struct {
+	dsps.Spout
+	stored *atomic.Int64
+	want   int64
+}
+
+func (s afterLocations) Next(c *dsps.Collector) bool {
+	if s.stored.Load() < s.want {
+		time.Sleep(100 * time.Microsecond)
+		return true
+	}
+	return s.Spout.Next(c)
+}
+
+// TestRideTopologyEndToEnd releases the requests only once every location
+// has reached its matcher: both spouts are unpaced, so without the gate a
+// request can be matched against matchers that hold no driver yet.
 func TestRideTopologyEndToEnd(t *testing.T) {
-	var matched, unmatched atomic.Int64
+	const locations = 2000
+	var matched, unmatched, stored atomic.Int64
 	topo, err := BuildRideTopology(RideTopologyConfig{
 		Gen:          RideConfig{Drivers: 300, Seed: 2},
 		Matchers:     6,
-		MaxLocations: 2000,
+		MaxLocations: locations,
 		MaxRequests:  300,
 		Matched:      &matched,
 		Unmatched:    &unmatched,
@@ -144,6 +176,10 @@ func TestRideTopologyEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	matcher, requests := topo.Operators["matcher"], topo.Operators["requests-src"]
+	boltFn, spoutFn := matcher.BoltFn, requests.SpoutFn
+	matcher.BoltFn = func() dsps.Bolt { return locationsStored{boltFn(), &stored} }
+	requests.SpoutFn = func() dsps.Spout { return afterLocations{spoutFn(), &stored, locations} }
 	eng, err := dsps.Start(topo, dsps.Config{
 		Workers: 3, Network: transport.NewInprocNetwork(0),
 		Comm: dsps.WorkerOriented, Multicast: dsps.MulticastNonBlocking,

@@ -253,8 +253,7 @@ func (c *Cluster) Drain(timeout time.Duration) bool { return c.eng.Drain(timeout
 // (0 when no adaptive group exists).
 func (c *Cluster) ActiveDstar() int { return c.eng.ActiveDstar() }
 
-// LinkStats snapshots every flow-controlled link (empty when credit flow
-// control is disabled).
+// LinkStats snapshots every link; all of them are flow-controlled.
 func (c *Cluster) LinkStats() []LinkStat { return c.eng.LinkStats() }
 
 // BottleneckReport folds the cluster's stall and utilization counters into
@@ -263,7 +262,7 @@ func (c *Cluster) LinkStats() []LinkStat { return c.eng.LinkStats() }
 func (c *Cluster) BottleneckReport() attrib.Report { return c.eng.BottleneckReport() }
 
 // DegradedWorkers lists workers currently reported degraded by the
-// overload path (a subscriber paused past Options.DegradedAfter).
+// overload path (a subscriber paused past dsps.Config.DegradedAfter).
 func (c *Cluster) DegradedWorkers() []int32 { return c.eng.DegradedWorkers() }
 
 // JoinWorker admits a dormant worker id in [Options.Workers,
