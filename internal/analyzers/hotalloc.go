@@ -2,6 +2,7 @@ package analyzers
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -13,7 +14,11 @@ import (
 // metrics.Clock and metrics.Since, behind a sampling decision), map
 // allocation (make(map...) or a map composite literal), and byte-slice
 // allocation (make([]byte, ...) — the hot path reuses pooled or
-// caller-provided buffers; a fresh slice per tuple is a copy in disguise).
+// caller-provided buffers; a fresh slice per tuple is a copy in disguise),
+// and an interface-slice composite literal with a non-constant element
+// ([]tuple.Value{root, xor}, []any{n}: each such element is boxed, a heap
+// object per tuple for any value the runtime does not keep preallocated).
+// Constant and nil elements, and empty literals, box nothing and pass.
 // Error paths are exempt by construction — fmt.Errorf is deliberately not
 // flagged, since an error exits the hot path anyway.
 //
@@ -21,7 +26,7 @@ import (
 // a hotpath function runs on the same path.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
-	Doc:  "flags fmt.Sprintf, time.Now/Since/Until, map allocation, and make([]byte, ...) inside //whale:hotpath functions",
+	Doc:  "flags fmt.Sprintf, time.Now/Since/Until, map allocation, make([]byte, ...) and interface-slice literals with non-constant elements inside //whale:hotpath functions",
 	Run:  runHotAlloc,
 }
 
@@ -90,7 +95,32 @@ func checkHotBody(pass *Pass, fname string, body *ast.BlockStmt) {
 			if _, isMap := x.Type.(*ast.MapType); isMap {
 				pass.Reportf(x.Pos(), "map literal in hot path %s: preallocate or use a slice", fname)
 			}
+			if boxesElements(pass.Info, x) {
+				pass.Reportf(x.Pos(), "interface-slice literal in hot path %s boxes its non-constant elements: carry the values in typed fields", fname)
+			}
 		}
 		return true
 	})
+}
+
+// boxesElements reports whether lit is a slice-of-interface literal with at
+// least one element that is neither a constant nor nil.
+func boxesElements(info *types.Info, lit *ast.CompositeLit) bool {
+	tv, ok := info.Types[lit]
+	if !ok {
+		return false
+	}
+	sl, ok := tv.Type.Underlying().(*types.Slice)
+	if !ok || !types.IsInterface(sl.Elem()) {
+		return false
+	}
+	for _, elt := range lit.Elts {
+		if kv, ok := elt.(*ast.KeyValueExpr); ok {
+			elt = kv.Value
+		}
+		if et, ok := info.Types[elt]; !ok || (et.Value == nil && !et.IsNil()) {
+			return true
+		}
+	}
+	return false
 }

@@ -29,6 +29,23 @@ func hotCopy(src []byte) []byte {
 	return out
 }
 
+type value = any
+
+// hotBoxing: an interface-slice literal boxes each non-constant element.
+// Constant and nil elements, and empty literals, box nothing.
+//
+//whale:hotpath
+func hotBoxing(root, xor int64, s string) {
+	sink([]value{root, xor}) // want `interface-slice literal in hot path hotBoxing boxes`
+	sink([]any{int64(1), s}) // want `interface-slice literal in hot path hotBoxing boxes`
+	sink([]value{0: root})   // want `interface-slice literal in hot path hotBoxing boxes`
+	sink([]value{int64(1), "k", true, nil})
+	sink([]any{})
+	_ = []int64{root, xor} // typed elements box nothing
+}
+
+func sink([]any) {}
+
 // hotClosure: function literals inside a hotpath function run on the same
 // path and inherit the annotation.
 //

@@ -16,13 +16,15 @@ import (
 // reaches zero exactly when every tuple in the tree has been processed,
 // at which point the spout's Ack callback fires. A timeout fails the root.
 
-// Internal operator and stream names of the acking plane.
+// Internal operator and stream names of the acking plane. Ack frames carry
+// no fields: the header's RootID names the tree, AckVal carries the frame's
+// value and SrcTask the sending task, so a frame boxes nothing.
 const (
 	ackerOperatorID = "__acker"
-	streamAckInit   = "__ack_init" // [rootID, ackVal, spoutTask]
-	streamAck       = "__ack"      // [rootID, xor]
-	streamAckFail   = "__ack_fail" // [rootID]
-	streamAckEvent  = "__ack_ev"   // acker -> spout: [rootID, ok]
+	streamAckInit   = "__ack_init" // spout -> acker: AckVal = the root's XOR, SrcTask = the spout
+	streamAck       = "__ack"      // bolt -> acker: AckVal = the input's XOR
+	streamAckFail   = "__ack_fail" // bolt -> acker: AckVal unused
+	streamAckEvent  = "__ack_ev"   // acker -> spout: AckVal = 1 acked, 0 failed
 	streamAckTick   = "__ack_tick" // engine -> acker timeout sweep
 )
 
@@ -47,35 +49,35 @@ type ackEntry struct {
 	emitNS    int64
 }
 
-// ackerBolt is the internal acker operator.
+// ackerBolt is the internal acker operator. Its table holds entries by
+// value, written back after each change, so a tree costs no allocation of
+// its own.
 type ackerBolt struct {
 	eng     *Engine
 	timeout time.Duration
-	pending map[int64]*ackEntry
+	pending map[int64]ackEntry
 }
 
 // Prepare implements Bolt.
-func (a *ackerBolt) Prepare(*TaskContext) { a.pending = map[int64]*ackEntry{} }
+func (a *ackerBolt) Prepare(*TaskContext) { a.pending = map[int64]ackEntry{} }
 
 // Execute implements Bolt.
 func (a *ackerBolt) Execute(tp *tuple.Tuple, c *Collector) {
+	root := tp.RootID
 	switch tp.Stream {
 	case streamAckInit:
-		root := tp.Int(0)
-		e := a.entry(root)
-		e.xor ^= tp.Int(1)
-		e.spoutTask = int32(tp.Int(2))
+		e := a.pending[root]
+		e.xor ^= tp.AckVal
+		e.spoutTask = tp.SrcTask
 		e.hasInit = true
 		e.emitNS = tp.RootEmitNS
 		e.deadline = time.Now().UnixNano() + a.timeout.Nanoseconds()
 		a.settle(root, e, c)
 	case streamAck:
-		root := tp.Int(0)
-		e := a.entry(root)
-		e.xor ^= tp.Int(1)
+		e := a.pending[root]
+		e.xor ^= tp.AckVal
 		a.settle(root, e, c)
 	case streamAckFail:
-		root := tp.Int(0)
 		if e, ok := a.pending[root]; ok && e.hasInit {
 			a.finish(root, e, false, c)
 		} else {
@@ -95,28 +97,23 @@ func (a *ackerBolt) Execute(tp *tuple.Tuple, c *Collector) {
 				// workers): expire it on the next sweep if the init never
 				// shows up.
 				e.deadline = now + a.timeout.Nanoseconds()
+				a.pending[root] = e
 			}
 		}
 	}
 }
 
-func (a *ackerBolt) entry(root int64) *ackEntry {
-	e, ok := a.pending[root]
-	if !ok {
-		e = &ackEntry{}
-		a.pending[root] = e
-	}
-	return e
-}
-
-func (a *ackerBolt) settle(root int64, e *ackEntry, c *Collector) {
+// settle finishes a balanced tree or writes the updated entry back.
+func (a *ackerBolt) settle(root int64, e ackEntry, c *Collector) {
 	if e.hasInit && e.xor == 0 {
 		a.finish(root, e, true, c)
+		return
 	}
+	a.pending[root] = e
 }
 
 // finish notifies the owning spout task and drops the entry.
-func (a *ackerBolt) finish(root int64, e *ackEntry, ok bool, c *Collector) {
+func (a *ackerBolt) finish(root int64, e ackEntry, ok bool, c *Collector) {
 	delete(a.pending, root)
 	if ok {
 		a.eng.metrics.TuplesAcked.Inc()
@@ -132,8 +129,10 @@ func (a *ackerBolt) finish(root int64, e *ackEntry, ok bool, c *Collector) {
 	}
 	tp := c.ex.tuples.New()
 	*tp = tuple.Tuple{
-		Stream: streamAckEvent,
-		Values: []tuple.Value{root, okVal},
+		Stream:  streamAckEvent,
+		SrcTask: c.ex.ctx.TaskID,
+		RootID:  root,
+		AckVal:  okVal,
 	}
 	c.ex.sendDirect(e.spoutTask, tp)
 }
@@ -248,7 +247,7 @@ func (ex *executor) handleSpoutEvent(tp *tuple.Tuple) {
 	default:
 		return
 	}
-	root := tp.Int(0)
+	root := tp.RootID
 	msgID, ok := ex.pendingRoots[root]
 	if !ok {
 		return
@@ -258,7 +257,7 @@ func (ex *executor) handleSpoutEvent(tp *tuple.Tuple) {
 	if !isReliable {
 		return
 	}
-	if tp.Int(1) == 1 {
+	if tp.AckVal == 1 {
 		rs.Ack(msgID)
 	} else {
 		rs.Fail(msgID)

@@ -1,6 +1,7 @@
 package dsps
 
 import (
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -390,4 +391,134 @@ func TestAckingWithAllGroupingMulticast(t *testing.T) {
 	if acked != n || failed != 0 {
 		t.Fatalf("acked=%d failed=%d, want %d/0", acked, failed, n)
 	}
+}
+
+// countingSpout is a reliable spout driven from the test goroutine: Next
+// emits nothing, and Ack and Fail only count, so the callbacks allocate
+// nothing of their own.
+type countingSpout struct{ acked, failed int }
+
+func (*countingSpout) Open(*TaskContext)    {}
+func (*countingSpout) Next(*Collector) bool { return false }
+func (*countingSpout) Close()               {}
+func (s *countingSpout) Ack(int64)          { s.acked++ }
+func (s *countingSpout) Fail(int64)         { s.failed++ }
+
+// TestAckPlaneAllocsPerFrame is the ack plane's allocation gate: 4096
+// reliability trees driven through init, bolt ack, acker settle and the
+// spout's Ack on one worker may cost at most 0.05 heap objects per ack
+// frame (init, ack and completion event), beyond the tuple slabs' one
+// block per 157 tuples. Frames carry their values in the tuple header and
+// the acker keeps its table by value, so nothing is boxed or allocated per
+// tree.
+func TestAckPlaneAllocsPerFrame(t *testing.T) {
+	spout := &countingSpout{}
+	b := NewTopologyBuilder()
+	b.Spout("src", func() Spout { return spout }, 1)
+	b.Bolt("sink", func() Bolt { return sinkAckBolt{} }, 1).Shuffle("src")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := Start(topo, Config{Workers: 1, Network: transport.NewInprocNetwork(0), AckEnabled: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Stop()
+	eng.WaitSpouts() // the spout's goroutine is done: its executor is ours now
+	ex := eng.workers[0].execMap()[eng.assign.TasksOf["src"][0]]
+
+	const trees = 4096
+	values := []tuple.Value{int64(1)}
+	run := func() {
+		want := spout.acked + trees
+		for i := 0; i < trees; i++ {
+			ex.emitReliable("src", int64(i), values)
+			ex.drainSpoutEvents(false)
+		}
+		for spout.acked < want {
+			ex.drainSpoutEvents(true)
+		}
+	}
+	run() // grows the inboxes and the pending tables to hold a pass
+	allocs := testing.AllocsPerRun(1, run)
+	// Data, init, ack and event tuples each come from a slab: one block per
+	// 157 of them, plus a partly used block per slab.
+	const frames = 3 * trees
+	slabBlocks := 4*trees/157 + 3
+	if per := (allocs - float64(slabBlocks)) / frames; per > 0.05 && !raceEnabled {
+		t.Fatalf("%d trees allocated %.0f objects, %.3f an ack frame beyond %d slab blocks, want <= 0.05",
+			trees, allocs, per, slabBlocks)
+	}
+	if spout.failed != 0 || len(ex.pendingRoots) != 0 {
+		t.Fatalf("%d trees failed and %d still pending, want none", spout.failed, len(ex.pendingRoots))
+	}
+	// The warm-up pass, AllocsPerRun's own warm-up call and the measured one.
+	if got := eng.Metrics().TuplesAcked.Value(); got != 3*trees {
+		t.Fatalf("TuplesAcked=%d, want %d", got, 3*trees)
+	}
+}
+
+// TestAckFramePlacement checks that a header-only ack frame lands on the
+// acker task fields grouping picked for the frame that carried its root
+// as field 0, constructed or decoded, on every ack-plane stream.
+func TestAckFramePlacement(t *testing.T) {
+	b := NewTopologyBuilder()
+	b.Spout("src", mkSpout, 1)
+	b.Bolt("mid", mkBolt, 3).Shuffle("src")
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := withAcking(topo, nil, 5, time.Second)
+	a, err := Assign(acked, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct{ op, stream string }{
+		{"src", streamAckInit}, {"src", streamAck}, {"mid", streamAck}, {"mid", streamAckFail},
+	} {
+		r := newRouter(acked, a, c.op, 0)
+		byField := newRouter(acked, a, c.op, 0)
+		for i := range byField.routes[c.stream] {
+			rt := &byField.routes[c.stream][i]
+			if !rt.byRoot || rt.dstOp != ackerOperatorID {
+				t.Fatalf("%s's %s edge to %s is not keyed by root", c.op, c.stream, rt.dstOp)
+			}
+			rt.byRoot = false
+		}
+		for i := 0; i < 500; i++ {
+			root, val := nonzeroRand(rng), rng.Int63()
+			frame := &tuple.Tuple{Stream: c.stream, RootID: root, AckVal: val, SrcTask: 2}
+			valued := &tuple.Tuple{Stream: c.stream, Values: []tuple.Value{root, val, int64(2)}}
+			raw, err := tuple.AppendTuple(nil, valued)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, _, err := tuple.DecodeTuple(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := ackerTask(t, r, frame)
+			for _, old := range []*tuple.Tuple{valued, decoded} {
+				if want := ackerTask(t, byField, old); got != want {
+					t.Fatalf("%s root %d: header-only frame goes to task %d, field 0 to %d", c.stream, root, got, want)
+				}
+			}
+		}
+	}
+}
+
+// ackerTask is the one task r routes tp to.
+func ackerTask(t *testing.T, r *router, tp *tuple.Tuple) int32 {
+	t.Helper()
+	dests, err := r.destinations(tp.Stream, tp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dests) != 1 || len(dests[0].tasks) != 1 {
+		t.Fatalf("%s routes to %v, want one task", tp.Stream, dests)
+	}
+	return dests[0].tasks[0]
 }

@@ -162,6 +162,11 @@ type route struct {
 	// localTasks are dstOp's tasks hosted on the emitting worker (for
 	// local-or-shuffle grouping).
 	localTasks []int32
+	// byRoot keys a fields-grouped ack-plane edge by the frame's RootID:
+	// ack frames carry no fields (acking.go), and HashValue of the root
+	// equals the hash of the int64 field 0 they once carried, so every
+	// root keeps its acker task.
+	byRoot bool
 }
 
 // router decides destination tasks for each emitted tuple. One router is
@@ -191,6 +196,7 @@ func newRouter(t *Topology, a *Assignment, srcOp string, localWorker int32) *rou
 				dstOp:      sub.Op.ID,
 				dstTasks:   a.TasksOf[sub.Op.ID],
 				localTasks: a.TasksOnWorker(sub.Op.ID, localWorker),
+				byRoot:     isAckStream(stream),
 			})
 		}
 	}
@@ -220,10 +226,16 @@ func (r *router) destinations(stream string, tp *tuple.Tuple) ([]destination, er
 			r.shuffle[rt.dstOp]++
 			out = append(out, destination{dstOp: rt.dstOp, tasks: rt.dstTasks[i : i+1]})
 		case FieldsGrouping:
-			if rt.sub.FieldIdx >= tp.Len() {
+			var h uint64
+			switch {
+			case rt.byRoot:
+				h = tuple.HashValue(tp.RootID)
+			case rt.sub.FieldIdx >= tp.Len():
 				return nil, fmt.Errorf("dsps: fields grouping on field %d of %d-field tuple", rt.sub.FieldIdx, tp.Len())
+			default:
+				h = tp.HashField(rt.sub.FieldIdx)
 			}
-			i := int(tp.HashField(rt.sub.FieldIdx)%NumSlots) % len(rt.dstTasks)
+			i := int(h%NumSlots) % len(rt.dstTasks)
 			out = append(out, destination{dstOp: rt.dstOp, tasks: rt.dstTasks[i : i+1]})
 		case AllGrouping:
 			out = append(out, destination{dstOp: rt.dstOp, all: true, tasks: rt.dstTasks})

@@ -320,7 +320,7 @@ func (ex *executor) emit(stream string, values []tuple.Value) {
 	}
 	// route returns the XOR of per-destination ack contributions (0 for
 	// untracked tuples), which the sender owes the acker for this input.
-	ex.xorAcc ^= ex.route(tp)
+	ex.xorAcc ^= ex.route(tp, tp.RootID != 0)
 }
 
 // emitReliable starts a reliability tree for a spout emission.
@@ -351,36 +351,43 @@ func (ex *executor) emitReliable(stream string, msgID int64, values []tuple.Valu
 	// per-destination contributions, which route computes as it fans out.
 	// The acker tolerates acks arriving before the init (it parks the
 	// entry until the init or the timeout sweep).
-	contrib := ex.route(tp)
-	ex.emitUnanchored(streamAckInit, []tuple.Value{root, contrib, int64(ex.ctx.TaskID)}, tp.RootEmitNS)
+	contrib := ex.route(tp, true)
+	ex.emitAck(streamAckInit, root, contrib, tp.RootEmitNS)
 }
 
-// emitUnanchored emits a tuple outside any reliability tree.
-func (ex *executor) emitUnanchored(stream string, values []tuple.Value, emitNS int64) {
+// emitAck emits one ack-plane frame outside any reliability tree: a tuple
+// with no fields whose header carries the root in RootID and the frame's
+// value (the init's or ack's XOR, 0 for a fail) in AckVal. SrcTask is this
+// task, which for an init is the spout the acker reports back to.
+//
+//whale:hotpath
+func (ex *executor) emitAck(stream string, root, val, emitNS int64) {
 	ex.nextID++
 	tp := ex.tuples.New()
 	*tp = tuple.Tuple{
 		Stream:     stream,
-		Values:     values,
 		ID:         ex.nextID,
 		SrcTask:    ex.ctx.TaskID,
 		RootEmitNS: emitNS,
+		RootID:     root,
+		AckVal:     val,
 		Epoch:      ex.epochStamp,
 	}
-	ex.route(tp)
+	ex.route(tp, false)
 }
 
-// route delivers a constructed tuple to all subscribed destinations and
-// returns the XOR of the per-destination ack contributions for tracked
-// tuples (0 otherwise). Each destination task contributes
-// ackContrib(tp.AckVal, task), the same value the receiving executor folds
-// into its ack, so the acker's register balances only when every
-// destination has processed the tuple. Destinations on confirmed-dead
+// route delivers a constructed tuple to all subscribed destinations and,
+// when tracked (the tuple belongs to a reliability tree, which no ack-plane
+// frame does even though its header carries a root), returns the XOR of
+// the per-destination ack contributions (0 otherwise). Each destination
+// task contributes ackContrib(tp.AckVal, task), the same value the
+// receiving executor folds into its ack, so the acker's register balances
+// only when every destination has processed the tuple. Destinations on confirmed-dead
 // workers are fenced out of both the sends and the contribution, so trees
 // opened after a failure can complete without the dead worker.
 //
 //whale:hotpath
-func (ex *executor) route(tp *tuple.Tuple) int64 {
+func (ex *executor) route(tp *tuple.Tuple, tracked bool) int64 {
 	eng := ex.w.eng
 	assign := eng.tv().assign
 	dests, err := ex.rt.destinations(tp.Stream, tp)
@@ -388,7 +395,6 @@ func (ex *executor) route(tp *tuple.Tuple) int64 {
 		eng.metrics.RouteErrors.Inc()
 		return 0
 	}
-	tracked := tp.RootID != 0 && tp.AckVal != 0
 	var contrib int64
 	for _, d := range dests {
 		eng.metrics.TuplesEmitted.Inc()
@@ -560,7 +566,7 @@ func (ex *executor) execute(at tuple.AddressedTuple) {
 	if ex.w.eng.cfg.AckEnabled && ex.curRootID != 0 && !isAckStream(at.Data.Stream) {
 		switch {
 		case ex.failCurrent:
-			ex.emitUnanchored(streamAckFail, []tuple.Value{ex.curRootID}, ex.curRoot)
+			ex.emitAck(streamAckFail, ex.curRootID, 0, ex.curRoot)
 		case ex.suppressAck:
 			// The tree stays open until the ack timeout.
 		default:
@@ -570,7 +576,7 @@ func (ex *executor) execute(at tuple.AddressedTuple) {
 			if ex.curInAck != 0 {
 				ackXor ^= ackContrib(ex.curInAck, ex.ctx.TaskID)
 			}
-			ex.emitUnanchored(streamAck, []tuple.Value{ex.curRootID, ackXor}, ex.curRoot)
+			ex.emitAck(streamAck, ex.curRootID, ackXor, ex.curRoot)
 		}
 	}
 	ex.curRootID = 0

@@ -346,13 +346,13 @@ func (w *worker) encodeTuple(tp *tuple.Tuple) ([]byte, error) {
 }
 
 // tupleTracked reports whether tp must never be shed by a full flow link:
-// tuples anchored in a reliability tree, and the ack-plane control tuples
-// themselves — shedding an ack would strand its tree until the ack timeout
-// even though the data arrived.
+// tuples anchored in a reliability tree, and the ack-plane frames, whose
+// header names their tree's root too — shedding an ack would strand its
+// tree until the ack timeout even though the data arrived.
 func tupleTracked(tp *tuple.Tuple) bool {
 	// Barriers are never shed: losing one stalls its epoch's alignment
 	// until the coordinator times the epoch out.
-	return tp.RootID != 0 || isAckStream(tp.Stream) || tp.Stream == StreamBarrier
+	return tp.RootID != 0 || tp.Stream == StreamBarrier
 }
 
 // process runs one transfer-queue job. The data arms read the clock only

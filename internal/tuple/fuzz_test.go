@@ -17,6 +17,8 @@ func FuzzDecodeTuple(f *testing.F) {
 	// Checkpoint barrier frame: no fields, non-zero epoch.
 	barrier, _ := AppendTuple(nil, &Tuple{Stream: "__barrier", SrcTask: 3, Epoch: 12})
 	f.Add(barrier)
+	ack, _ := AppendTuple(nil, headerOnlyFrame())
+	f.Add(ack)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

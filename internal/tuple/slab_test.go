@@ -35,6 +35,34 @@ func TestSlabDecodeAmortises(t *testing.T) {
 	}
 }
 
+// headerOnlyFrame is an ack-plane frame: no fields, its values in the
+// header.
+func headerOnlyFrame() *Tuple {
+	return &Tuple{Stream: "__ack", ID: 9, SrcTask: 5, RootEmitNS: 1234, RootID: -7 << 40, AckVal: 0x5DEECE66D, Epoch: 3}
+}
+
+func TestSlabDecodeHeaderOnlyFrame(t *testing.T) {
+	in := headerOnlyFrame()
+	buf, err := AppendTuple(nil, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s Slab
+	tp, n, err := s.Decode(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(buf) || tp.Len() != 0 {
+		t.Fatalf("decoded %d of %d bytes into %d fields, want all bytes and no fields", n, len(buf), tp.Len())
+	}
+	got := *tp
+	got.wire = nil
+	if got.Stream != in.Stream || got.ID != in.ID || got.SrcTask != in.SrcTask || got.RootEmitNS != in.RootEmitNS ||
+		got.RootID != in.RootID || got.AckVal != in.AckVal || got.Epoch != in.Epoch {
+		t.Fatalf("decoded header %+v, want %+v", got, *in)
+	}
+}
+
 func TestSlabNewAmortises(t *testing.T) {
 	var s Slab
 	const tuples = 1024
